@@ -2,9 +2,11 @@
 
 #include "cache/VerdictCache.h"
 
+#include "support/Json.h"
 #include "support/Metrics.h"
+#include "support/Unicode.h"
 
-#include <cstdio>
+#include <cmath>
 #include <fstream>
 
 using namespace sbd;
@@ -32,121 +34,6 @@ size_t nextPow2(size_t N) {
   while (P < N)
     P <<= 1;
   return P;
-}
-
-/// JSON string escape for the canonical key (the print may contain quotes
-/// and backslashes from charset literals).
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  Out += '"';
-}
-
-/// Decodes the escapes appendJsonString produces. Returns false on a
-/// malformed literal.
-bool parseJsonString(const std::string &Line, size_t &Pos, std::string &Out) {
-  if (Pos >= Line.size() || Line[Pos] != '"')
-    return false;
-  ++Pos;
-  Out.clear();
-  while (Pos < Line.size()) {
-    char C = Line[Pos++];
-    if (C == '"')
-      return true;
-    if (C != '\\') {
-      Out += C;
-      continue;
-    }
-    if (Pos >= Line.size())
-      return false;
-    char E = Line[Pos++];
-    switch (E) {
-    case '"':
-    case '\\':
-    case '/':
-      Out += E;
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'r':
-      Out += '\r';
-      break;
-    case 'u': {
-      if (Pos + 4 > Line.size())
-        return false;
-      unsigned V = 0;
-      for (int I = 0; I != 4; ++I) {
-        char H = Line[Pos++];
-        V <<= 4;
-        if (H >= '0' && H <= '9')
-          V |= static_cast<unsigned>(H - '0');
-        else if (H >= 'a' && H <= 'f')
-          V |= static_cast<unsigned>(H - 'a' + 10);
-        else if (H >= 'A' && H <= 'F')
-          V |= static_cast<unsigned>(H - 'A' + 10);
-        else
-          return false;
-      }
-      // Keys only escape control bytes, so V < 0x80 always; emit as-is.
-      Out += static_cast<char>(V);
-      break;
-    }
-    default:
-      return false;
-    }
-  }
-  return false;
-}
-
-/// Skips spaces, then requires and consumes \p Lit.
-bool expect(const std::string &Line, size_t &Pos, const char *Lit) {
-  while (Pos < Line.size() && Line[Pos] == ' ')
-    ++Pos;
-  for (const char *P = Lit; *P; ++P, ++Pos)
-    if (Pos >= Line.size() || Line[Pos] != *P)
-      return false;
-  return true;
-}
-
-bool parseNumber(const std::string &Line, size_t &Pos, uint64_t &Out) {
-  while (Pos < Line.size() && Line[Pos] == ' ')
-    ++Pos;
-  if (Pos >= Line.size() || Line[Pos] < '0' || Line[Pos] > '9')
-    return false;
-  Out = 0;
-  while (Pos < Line.size() && Line[Pos] >= '0' && Line[Pos] <= '9')
-    Out = Out * 10 + static_cast<uint64_t>(Line[Pos++] - '0');
-  return true;
 }
 
 } // namespace
@@ -351,52 +238,36 @@ long VerdictCache::load(const std::string &Path) {
   while (std::getline(In, Line)) {
     if (Line.empty())
       continue;
-    size_t Pos = 0;
-    std::string Key, Status;
-    if (!expect(Line, Pos, "{") || !expect(Line, Pos, "\"key\":"))
-      continue;
-    while (Pos < Line.size() && Line[Pos] == ' ')
-      ++Pos;
-    if (!parseJsonString(Line, Pos, Key))
-      continue;
-    if (!expect(Line, Pos, ",") || !expect(Line, Pos, "\"status\":"))
-      continue;
-    while (Pos < Line.size() && Line[Pos] == ' ')
-      ++Pos;
-    if (!parseJsonString(Line, Pos, Status))
+    JsonParseResult Doc = parseJson(Line);
+    const JsonValue *Key = Doc.Value.get("key");
+    const JsonValue *Status = Doc.Value.get("status");
+    if (!Doc.Ok || !Key || !Key->isString() || !Status || !Status->isString())
       continue;
     CachedVerdict V;
-    if (Status == "sat")
+    if (Status->asString() == "sat")
       V.Sat = true;
-    else if (Status != "unsat")
+    else if (Status->asString() != "unsat")
       continue;
     if (V.Sat) {
-      if (!expect(Line, Pos, ",") || !expect(Line, Pos, "\"witness\":") ||
-          !expect(Line, Pos, "["))
+      const JsonValue *Witness = Doc.Value.get("witness");
+      if (!Witness || !Witness->isArray())
         continue;
+      // Every element must be an integral code point: a larger or
+      // fractional number is a corrupt line, never a wrapped character.
       bool Ok = true;
-      while (true) {
-        while (Pos < Line.size() && Line[Pos] == ' ')
-          ++Pos;
-        if (Pos < Line.size() && Line[Pos] == ']') {
-          ++Pos;
-          break;
-        }
-        uint64_t N = 0;
-        if (!parseNumber(Line, Pos, N)) {
+      for (const JsonValue &Cp : Witness->asArray()) {
+        double N = Cp.asNumber();
+        if (Cp.kind() != JsonValue::Kind::Number || !(N >= 0) ||
+            N > MaxCodePoint || N != std::floor(N)) {
           Ok = false;
           break;
         }
         V.Witness.push_back(static_cast<uint32_t>(N));
-        while (Pos < Line.size() && Line[Pos] == ' ')
-          ++Pos;
-        if (Pos < Line.size() && Line[Pos] == ',')
-          ++Pos;
       }
       if (!Ok)
         continue;
     }
-    insert(Key, std::move(V));
+    insert(Key->asString(), std::move(V));
     ++Loaded;
   }
   return Loaded;

@@ -119,9 +119,10 @@ public:
   /// error.
   bool save(const std::string &Path) const;
 
-  /// Inserts every entry of a previously saved file (malformed lines are
-  /// skipped). Returns the number of entries loaded, or -1 when the file
-  /// cannot be opened.
+  /// Inserts every entry of a previously saved file. Malformed lines are
+  /// skipped, including a witness element that is not an integral code
+  /// point in [0, MaxCodePoint]. Returns the number of entries loaded, or
+  /// -1 when the file cannot be opened.
   long load(const std::string &Path);
 
   /// --- Test hooks ----------------------------------------------------------

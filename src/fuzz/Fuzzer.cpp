@@ -5,6 +5,7 @@
 #include "dist/Coordinator.h"
 #include "dist/Protocol.h"
 #include "re/RegexParser.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Stopwatch.h"
 #include "support/Unicode.h"
@@ -66,28 +67,6 @@ DifferentialOracle::MembershipStub sbd::fuzz::interAsUnionStub() {
 //===----------------------------------------------------------------------===//
 // Report rendering
 //===----------------------------------------------------------------------===//
-
-/// JSON string escaping (the payload may contain quotes, backslashes and
-/// control characters; non-ASCII UTF-8 passes through verbatim).
-static std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char Raw : S) {
-    auto U = static_cast<unsigned char>(Raw);
-    if (Raw == '"' || Raw == '\\') {
-      Out += '\\';
-      Out += Raw;
-    } else if (U < 0x20) {
-      static const char *Hex = "0123456789abcdef";
-      Out += "\\u00";
-      Out += Hex[U >> 4];
-      Out += Hex[U & 0xF];
-    } else {
-      Out += Raw;
-    }
-  }
-  return Out;
-}
 
 /// C++ string-literal escaping using octal escapes (unambiguous regardless
 /// of the following character, unlike \xNN).
@@ -155,8 +134,10 @@ std::string FuzzReport::json() const {
     if (I)
       Out += ", ";
     Out += "{\"law\": \"" + std::string(oracleLawName(D.Law)) + "\"";
-    Out += ", \"engine\": \"" + jsonEscape(D.Engine) + "\"";
-    Out += ", \"pattern\": \"" + jsonEscape(D.Pattern) + "\"";
+    Out += ", \"engine\": ";
+    appendJsonString(Out, D.Engine);
+    Out += ", \"pattern\": ";
+    appendJsonString(Out, D.Pattern);
     Out += ", \"regex_nodes\": " + std::to_string(D.RegexNodes);
     Out += ", \"word\": [";
     for (size_t J = 0; J != D.Word.size(); ++J) {
@@ -165,15 +146,19 @@ std::string FuzzReport::json() const {
       Out += std::to_string(D.Word[J]);
     }
     Out += "]";
-    Out += ", \"word_utf8\": \"" + jsonEscape(toUtf8(D.Word)) + "\"";
-    Out += ", \"detail\": \"" + jsonEscape(D.Detail) + "\"}";
+    Out += ", \"word_utf8\": ";
+    appendJsonString(Out, toUtf8(D.Word));
+    Out += ", \"detail\": ";
+    appendJsonString(Out, D.Detail);
+    Out += "}";
   }
   Out += "]";
   Out += ", \"engine_timings\": [";
   for (size_t I = 0; I != Timings.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "{\"name\": \"" + jsonEscape(Timings[I].Name) + "\"";
+    Out += "{\"name\": ";
+    appendJsonString(Out, Timings[I].Name);
     Out += ", \"total_us\": " + std::to_string(Timings[I].TotalUs);
     Out += ", \"calls\": " + std::to_string(Timings[I].Calls) + "}";
   }
@@ -182,7 +167,8 @@ std::string FuzzReport::json() const {
   for (size_t I = 0; I != Engines.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "{\"name\": \"" + jsonEscape(Engines[I].Name) + "\"";
+    Out += "{\"name\": ";
+    appendJsonString(Out, Engines[I].Name);
     Out += ", \"queries\": " + std::to_string(Engines[I].Queries);
     Out += ", \"stats\": " + Engines[I].Stats.json() + "}";
   }

@@ -25,8 +25,8 @@
 #ifndef SBD_POLICY_POLICY_H
 #define SBD_POLICY_POLICY_H
 
-#include "policy/Json.h"
 #include "smt/SmtSolver.h"
+#include "support/Json.h"
 
 #include <optional>
 #include <string>

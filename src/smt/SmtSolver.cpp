@@ -37,9 +37,9 @@ std::string smtQuote(const std::string &S) {
   return Out;
 }
 
-/// The compilation and solving context shared by script mode
-/// (SmtSolver::solveScript) and session mode (SmtSession). Declarations,
-/// the atom table, and the scoped assertion frames live here; errors are
+/// The compilation and solving context behind SmtSession (and so behind
+/// SmtSolver::solveScript, which runs a fresh session). Declarations, the
+/// atom table, and the scoped assertion frames live here; errors are
 /// per-command (hasError()/takeError()) so a session survives them.
 class ScriptContext {
 public:
@@ -813,104 +813,6 @@ private:
 
 } // namespace
 
-/// --- Script mode -----------------------------------------------------------
-
-SmtResult SmtSolver::solveScript(const std::string &Script,
-                                 const SolveOptions &Opts) {
-  obs::ScopedSpan Span("solveScript", "smt");
-  SmtResult Result;
-  SExprParseResult Parsed = parseSExprs(Script);
-  if (!Parsed.Ok) {
-    Result.Status = SolveStatus::Unsupported;
-    Result.Stop = StopReason::ParseError;
-    Result.Note = "parse error: " + Parsed.Error;
-    Span.arg("status", std::string(statusName(Result.Status)));
-    return Result;
-  }
-
-  portfolio::PortfolioSolver Port(Solver);
-  ScriptContext Ctx(Solver, Port, Opts);
-
-  auto runCheck = [&](const std::vector<BE> &Assumptions) {
-    SmtCheck C = Ctx.checkSat(Assumptions);
-    Result.Checks.push_back(C);
-    Result.Status = C.Status;
-    Result.Stop = C.Stop;
-    Result.Note = C.Note;
-    Result.Model = C.Model;
-  };
-
-  bool Failed = false;
-  auto fail = [&](const std::string &Why) {
-    Result.Status = SolveStatus::Unsupported;
-    Result.Stop = StopReason::UnsupportedFragment;
-    Result.Note = Why;
-    Failed = true;
-  };
-
-  for (const SExpr &Form : Parsed.Forms) {
-    if (!Form.isList() || Form.Kids.empty())
-      continue;
-    const SExpr &Head = Form.Kids[0];
-    if (Head.isSymbol("set-info")) {
-      Ctx.setInfo(Form);
-    } else if (Head.isSymbol("get-info")) {
-      // (get-info :statistics) — rendered from the work done so far, so
-      // it must follow the check-sat it reports on.
-      if (Form.Kids.size() == 2 && Form.Kids[1].isSymbol(":statistics"))
-        Result.Statistics = Ctx.renderStatistics();
-    } else if (Head.isSymbol("declare-fun") ||
-               Head.isSymbol("declare-const")) {
-      Ctx.declare(Form);
-    } else if (Head.isSymbol("assert")) {
-      Ctx.assertForm(Form);
-    } else if (Head.isSymbol("push") || Head.isSymbol("pop")) {
-      uint64_t N = 1;
-      if (Form.Kids.size() == 2 && Form.Kids[1].K == SExpr::Kind::Number &&
-          Form.Kids[1].Number >= 0)
-        N = static_cast<uint64_t>(Form.Kids[1].Number);
-      if (Head.isSymbol("push"))
-        Ctx.push(N);
-      else
-        Ctx.pop(N);
-    } else if (Head.isSymbol("check-sat")) {
-      runCheck({});
-    } else if (Head.isSymbol("check-sat-assuming")) {
-      std::vector<BE> Assumptions;
-      bool Ok = Form.Kids.size() == 2 && Form.Kids[1].isList();
-      if (Ok)
-        for (const SExpr &Lit : Form.Kids[1].Kids)
-          if (!Ctx.compileAssumption(Lit, Assumptions))
-            break;
-      if (!Ok)
-        fail("malformed check-sat-assuming");
-      else if (!Ctx.hasError())
-        runCheck(Assumptions);
-    } else if (Head.isSymbol("reset-assertions")) {
-      Ctx.resetAssertions();
-    }
-    // set-logic, set-option, get-model, get-value, echo, exit, and unknown
-    // commands: no-ops in script mode (the session front end answers them).
-    if (Ctx.hasError()) {
-      fail(Ctx.takeError());
-      break;
-    }
-    if (Failed)
-      break;
-  }
-  // Script without check-sat: solve what we have (legacy behavior).
-  if (!Failed && Result.Checks.empty())
-    runCheck({});
-
-  Result.ExpectedSat = Ctx.expectedSat();
-  Result.Stats = Ctx.cumulativeStats();
-  Result.CubesTried = Ctx.cubesTriedTotal();
-  Span.arg("status", std::string(statusName(Result.Status)));
-  // Safe point for SIGUSR1-driven exposition dumps between scripts.
-  obs::pollExposition();
-  return Result;
-}
-
 /// --- Session mode ----------------------------------------------------------
 
 struct SmtSession::Impl {
@@ -920,6 +822,13 @@ struct SmtSession::Impl {
   /// Reconstructed on (reset); the arena behind Solver persists.
   std::optional<ScriptContext> Ctx;
   bool PrintSuccess = false;
+  /// What the last command left for the script driver (solveScript): the
+  /// raw text of its error, whether that error came from a command that
+  /// changes solver state (a script stops there; a failed query such as
+  /// get-model does not), and the last (get-info :statistics) answer.
+  std::string Error;
+  bool StateError = false;
+  std::string Statistics;
 
   Impl(RegexSolver &S, const SolveOptions &O) : Solver(S), Opts(O), Port(S) {
     Ctx.emplace(Solver, Port, Opts);
@@ -966,9 +875,11 @@ SmtSession::Reply SmtSession::execute(const SExpr &Form) {
     if (I->PrintSuccess)
       R.Text = "success";
   };
-  auto error = [&](const std::string &Why) {
+  auto error = [&](const std::string &Why, bool Query = false) {
     R.Text = "(error " + smtQuote(Why) + ")";
     R.IsError = true;
+    I->Error = Why;
+    I->StateError = !Query;
   };
   if (!Form.isList() || Form.Kids.empty() ||
       Form.Kids[0].K != SExpr::Kind::Symbol) {
@@ -1040,27 +951,29 @@ SmtSession::Reply SmtSession::execute(const SExpr &Form) {
     if (Ctx.haveChecked() && Ctx.last().Status == SolveStatus::Sat)
       R.Text = Ctx.renderModel();
     else
-      error("model is not available");
+      error("model is not available", /*Query=*/true);
   } else if (Head.isSymbol("get-value")) {
-    error("get-value is not supported; use get-model");
+    error("get-value is not supported; use get-model", /*Query=*/true);
   } else if (Head.isSymbol("get-info")) {
     if (Form.Kids.size() != 2 || Form.Kids[1].K != SExpr::Kind::Symbol) {
-      error("malformed get-info");
+      error("malformed get-info", /*Query=*/true);
     } else if (Form.Kids[1].isSymbol(":statistics") ||
                Form.Kids[1].isSymbol(":all-statistics")) {
       R.Text = Ctx.renderStatistics();
+      I->Statistics = R.Text;
     } else if (Form.Kids[1].isSymbol(":name")) {
       R.Text = "(:name \"sbd\")";
     } else if (Form.Kids[1].isSymbol(":error-behavior")) {
       R.Text = "(:error-behavior continued-execution)";
     } else {
-      error("unsupported get-info flag: " + Form.Kids[1].Text);
+      error("unsupported get-info flag: " + Form.Kids[1].Text,
+            /*Query=*/true);
     }
   } else if (Head.isSymbol("echo")) {
     if (Form.Kids.size() == 2 && Form.Kids[1].K == SExpr::Kind::String)
       R.Text = smtQuote(Form.Kids[1].Text);
     else
-      error("malformed echo");
+      error("malformed echo", /*Query=*/true);
   } else if (Head.isSymbol("reset-assertions")) {
     Ctx.resetAssertions();
     success();
@@ -1094,4 +1007,60 @@ std::vector<SmtSession::Reply> SmtSession::executeAll(const std::string &Text) {
   // Safe point for SIGUSR1-driven exposition dumps between batches.
   obs::pollExposition();
   return Out;
+}
+
+/// --- Script mode -----------------------------------------------------------
+
+SmtResult SmtSolver::solveScript(const std::string &Script,
+                                 const SolveOptions &Opts) {
+  obs::ScopedSpan Span("solveScript", "smt");
+  SmtResult Result;
+  SExprParseResult Parsed = parseSExprs(Script);
+  if (!Parsed.Ok) {
+    Result.Status = SolveStatus::Unsupported;
+    Result.Stop = StopReason::ParseError;
+    Result.Note = "parse error: " + Parsed.Error;
+    Span.arg("status", std::string(statusName(Result.Status)));
+    return Result;
+  }
+
+  // A script is a fresh session run over its forms: the session's command
+  // table is the only one.
+  SmtSession Session(Solver, Opts);
+  SmtSession::Impl &S = *Session.I;
+  bool Failed = false;
+  for (const SExpr &Form : Parsed.Forms) {
+    uint64_t ChecksBefore = Session.checksRun();
+    SmtSession::Reply R = Session.execute(Form);
+    if (R.IsError && S.StateError) {
+      Result.Status = SolveStatus::Unsupported;
+      Result.Stop = StopReason::UnsupportedFragment;
+      Result.Note = S.Error;
+      Failed = true;
+      break;
+    }
+    if (Session.checksRun() != ChecksBefore)
+      Result.Checks.push_back(S.Ctx->last());
+    if (R.ExitRequested)
+      break;
+  }
+  if (!Failed) {
+    // Script without check-sat: solve what we have (legacy behavior).
+    if (Result.Checks.empty())
+      Result.Checks.push_back(S.Ctx->checkSat());
+    const SmtCheck &Last = Result.Checks.back();
+    Result.Status = Last.Status;
+    Result.Stop = Last.Stop;
+    Result.Note = Last.Note;
+    Result.Model = Last.Model;
+  }
+
+  Result.ExpectedSat = S.Ctx->expectedSat();
+  Result.Stats = S.Ctx->cumulativeStats();
+  Result.CubesTried = S.Ctx->cubesTriedTotal();
+  Result.Statistics = std::move(S.Statistics);
+  Span.arg("status", std::string(statusName(Result.Status)));
+  // Safe point for SIGUSR1-driven exposition dumps between scripts.
+  obs::pollExposition();
+  return Result;
 }

@@ -17,16 +17,19 @@
 ///    a consistent implicant splits into one ERE-satisfiability query per
 ///    variable.
 ///
-/// Two driving modes share the compiler:
+/// One command interpreter serves every front end (DESIGN.md §15):
 ///
-///  - `SmtSolver::solveScript` runs a whole script in one call, now
-///    including incremental scripts — `(push)`/`(pop)` scope assertions and
-///    every `(check-sat)` produces one entry in `SmtResult::Checks`;
-///  - `SmtSession` (DESIGN.md §15) keeps the compiled state alive *between*
-///    commands: one persistent arena and derivative graph serve repeated
-///    check-sats, so later checks reuse every interned term, memoized
-///    derivative, and dead/alive fact earlier checks established. This is
-///    the engine behind the resident `sbd-server` front end.
+///  - `SmtSession` keeps the compiled state alive *between* commands: one
+///    persistent arena and derivative graph serve repeated check-sats, so
+///    later checks reuse every interned term, memoized derivative, and
+///    dead/alive fact earlier checks established. Its `execute` holds the
+///    only SMT-LIB command table; it is the engine behind the resident
+///    `sbd-server` front end;
+///  - `SmtSolver::solveScript` runs a whole script in one call as a fresh
+///    session over the script's forms. Every `(check-sat)` produces one
+///    entry in `SmtResult::Checks`; a failing command that changes solver
+///    state ends the script as Unsupported, while a failing query
+///    (`get-model`, `get-value`, `get-info`, `echo`) never changes a verdict.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,9 +93,14 @@ class SmtSolver {
 public:
   explicit SmtSolver(RegexSolver &S) : Solver(S) {}
 
-  /// Parses and solves a whole script, including incremental ones: every
-  /// check-sat appends to `SmtResult::Checks`, and the top-level verdict is
-  /// the last check's.
+  /// Parses and solves a whole script as a fresh SmtSession run over its
+  /// forms: every check-sat appends to `SmtResult::Checks`, and the
+  /// top-level verdict is the last check's. A script without check-sat
+  /// gets one implicit final check. When a declaration, assertion,
+  /// push/pop, check-sat-assuming or unknown command fails, the script
+  /// stops as Unsupported/UnsupportedFragment with the error text as
+  /// `Note`. `(reset)` and `(exit)` act as in a session; `Stats` and
+  /// `CubesTried` cover the work since the last `(reset)`.
   SmtResult solveScript(const std::string &Script,
                         const SolveOptions &Opts = {});
 
@@ -139,7 +147,7 @@ public:
   std::vector<Reply> executeAll(const std::string &Text);
 
   /// Result of the most recent check-sat, as a script-level SmtResult
-  /// (cumulative Stats/CubesTried over the session's lifetime).
+  /// (Stats/CubesTried cumulative since the last (reset)).
   SmtResult lastResult() const;
 
   /// check-sat commands served so far (also counted in obs SessionChecks).
@@ -156,6 +164,7 @@ public:
   void reset();
 
 private:
+  friend class SmtSolver; // solveScript drives a session
   struct Impl;
   std::unique_ptr<Impl> I;
   uint64_t Checks = 0;

@@ -2,6 +2,8 @@
 
 #include "solver/SlowQueryLog.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -11,64 +13,19 @@
 using namespace sbd;
 using namespace sbd::obs;
 
-namespace {
-
-/// Escapes a string for embedding in a JSON string literal.
-void appendJsonEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    unsigned char Ch = static_cast<unsigned char>(C);
-    switch (Ch) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (Ch < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", Ch);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(Ch);
-      }
-    }
-  }
-}
-
-void appendJsonString(std::string &Out, const char *Key,
-                      const std::string &Value) {
-  Out += '"';
-  Out += Key;
-  Out += "\": \"";
-  appendJsonEscaped(Out, Value);
-  Out += '"';
-}
-
-} // namespace
-
 std::string SlowQueryArtifact::json() const {
-  std::string Out = "{";
-  appendJsonString(Out, "pattern", Pattern);
-  Out += ", ";
-  appendJsonString(Out, "script", Script);
-  Out += ", ";
-  appendJsonString(Out, "strategy", Strategy);
+  std::string Out = "{\"pattern\": ";
+  appendJsonString(Out, Pattern);
+  Out += ", \"script\": ";
+  appendJsonString(Out, Script);
+  Out += ", \"strategy\": ";
+  appendJsonString(Out, Strategy);
   Out += ", \"timeout_ms\": " + std::to_string(TimeoutMs);
   Out += ", \"max_states\": " + std::to_string(MaxStates);
-  Out += ", ";
-  appendJsonString(Out, "status", Status);
-  Out += ", ";
-  appendJsonString(Out, "stop_reason", StopReason);
+  Out += ", \"status\": ";
+  appendJsonString(Out, Status);
+  Out += ", \"stop_reason\": ";
+  appendJsonString(Out, StopReason);
   Out += ", \"total_us\": " + std::to_string(TotalUs);
   Out += ", \"states\": " + std::to_string(States);
   Out += ", \"frontier_stride\": " + std::to_string(FrontierStride);

@@ -2,8 +2,9 @@
 
 #include "support/Trace.h"
 
+#include "support/Json.h"
+
 #include <chrono>
-#include <cstdio>
 #include <mutex>
 #include <vector>
 
@@ -15,38 +16,6 @@ std::atomic<bool> Tracer::Enabled{false};
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-
-/// Escapes a string for embedding in a JSON string literal.
-void appendJsonEscaped(std::string &Out, const char *S) {
-  for (; *S; ++S) {
-    unsigned char Ch = static_cast<unsigned char>(*S);
-    switch (Ch) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (Ch < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", Ch);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(Ch);
-      }
-    }
-  }
-}
 
 /// One thread's event buffer plus its trace-viewer thread id.
 struct TraceBuffer {
@@ -162,11 +131,11 @@ std::string Tracer::chromeTraceJson() {
       if (!First)
         Out += ",";
       First = false;
-      Out += "\n  {\"name\": \"";
-      appendJsonEscaped(Out, E.Name);
-      Out += "\", \"cat\": \"";
-      appendJsonEscaped(Out, E.Cat);
-      Out += "\", \"ph\": \"X\", \"ts\": ";
+      Out += "\n  {\"name\": ";
+      appendJsonString(Out, E.Name);
+      Out += ", \"cat\": ";
+      appendJsonString(Out, E.Cat);
+      Out += ", \"ph\": \"X\", \"ts\": ";
       Out += std::to_string(E.TsUs);
       Out += ", \"dur\": ";
       Out += std::to_string(E.DurUs);
@@ -216,9 +185,8 @@ void ScopedSpan::arg(const char *Key, const std::string &Value) {
     Args += ", ";
   Args += '"';
   Args += Key;
-  Args += "\": \"";
-  appendJsonEscaped(Args, Value.c_str());
-  Args += '"';
+  Args += "\": ";
+  appendJsonString(Args, Value);
 }
 
 void ScopedSpan::arg(const char *Key, uint64_t Value) {

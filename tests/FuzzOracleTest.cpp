@@ -9,8 +9,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
-#include "policy/Json.h"
 #include "re/RegexParser.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 

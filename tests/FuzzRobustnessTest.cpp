@@ -9,9 +9,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "policy/Json.h"
 #include "re/RegexParser.h"
 #include "smt/SExpr.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>

@@ -13,10 +13,10 @@
 
 #include "support/Exposition.h"
 #include "support/Histogram.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
-#include "policy/Json.h"
 #include "re/RegexParser.h"
 #include "solver/RegexSolver.h"
 #include "solver/SlowQueryLog.h"

@@ -11,37 +11,6 @@ using namespace sbd;
 
 namespace {
 
-TEST(Json, Values) {
-  auto R = parseJson(R"({"a": [1, -2.5, "x\ny", true, null], "b": {}})");
-  ASSERT_TRUE(R.Ok) << R.Error;
-  const JsonValue &V = R.Value;
-  ASSERT_TRUE(V.isObject());
-  const JsonValue *A = V.get("a");
-  ASSERT_TRUE(A && A->isArray());
-  EXPECT_EQ(A->asArray().size(), 5u);
-  EXPECT_EQ(A->asArray()[0].asNumber(), 1);
-  EXPECT_EQ(A->asArray()[1].asNumber(), -2.5);
-  EXPECT_EQ(A->asArray()[2].asString(), "x\ny");
-  EXPECT_TRUE(A->asArray()[3].asBool());
-  EXPECT_TRUE(A->asArray()[4].isNull());
-  EXPECT_TRUE(V.get("b")->isObject());
-  EXPECT_EQ(V.get("missing"), nullptr);
-}
-
-TEST(Json, UnicodeEscapes) {
-  auto R = parseJson(R"(["A中"])");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_EQ(R.Value.asArray()[0].asString(), "A\xE4\xB8\xAD");
-}
-
-TEST(Json, Errors) {
-  EXPECT_FALSE(parseJson("{").Ok);
-  EXPECT_FALSE(parseJson("[1,]").Ok);
-  EXPECT_FALSE(parseJson("\"unterminated").Ok);
-  EXPECT_FALSE(parseJson("{} trailing").Ok);
-  EXPECT_FALSE(parseJson("{1: 2}").Ok);
-}
-
 class PolicyTest : public ::testing::Test {
 protected:
   RegexManager M;

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace sbd;
 
 namespace {
@@ -240,6 +242,152 @@ TEST(SmtScriptChecksTest, ScriptWithoutChecksStillRunsImplicitFinalCheck) {
   EXPECT_EQ(R.Status, SolveStatus::Sat);
   ASSERT_EQ(R.Checks.size(), 1u); // the implicit final check is recorded
   EXPECT_EQ(R.Checks[0].Status, SolveStatus::Sat);
+}
+
+/// One command table: a script and a session over the same forms give the
+/// same verdict at every check-sat. Where a state-changing command fails,
+/// the script stops as Unsupported while the session carries on, so the
+/// script's checks are then a prefix of the session's.
+TEST(SmtScriptChecksTest, ScriptAndSessionAgreeAtEveryCheck) {
+  struct Case {
+    const char *Name;
+    const char *Script;
+    std::vector<std::string> Verdicts; ///< the session's check-sat replies
+    const char *StopNote;              ///< the script's Note when it stops
+  };
+  const Case Cases[] = {
+      {"reset drops the earlier assertion",
+       R"((declare-const x String)
+          (assert (str.in_re x (str.to_re "a")))
+          (reset)
+          (declare-const x String)
+          (assert (str.in_re x (str.to_re "b")))
+          (check-sat))",
+       {"sat"},
+       nullptr},
+      {"forms after exit are not run",
+       R"((declare-const s String)
+          (assert (str.in_re s (str.to_re "a")))
+          (check-sat)
+          (exit)
+          (assert (str.in_re s re.none))
+          (check-sat))",
+       {"sat"},
+       nullptr},
+      {"push and pop scope assertions",
+       R"((declare-const s String)
+          (assert (str.in_re s (re.* (str.to_re "ab"))))
+          (check-sat)
+          (push 1)
+          (assert (str.in_re s re.none))
+          (check-sat)
+          (pop 1)
+          (check-sat))",
+       {"sat", "unsat", "sat"},
+       nullptr},
+      {"assumptions last one check",
+       R"((declare-const s String)
+          (assert (str.in_re s (re.* (str.to_re "a"))))
+          (check-sat-assuming ((str.in_re s re.none)))
+          (check-sat))",
+       {"unsat", "sat"},
+       nullptr},
+      {"reset-assertions keeps declarations",
+       R"((declare-const s String)
+          (assert (str.in_re s re.none))
+          (check-sat)
+          (reset-assertions)
+          (assert (str.in_re s (str.to_re "z")))
+          (check-sat))",
+       {"unsat", "sat"},
+       nullptr},
+      {"failed queries change no verdict",
+       R"((set-logic QF_S)
+          (set-option :print-success true)
+          (set-info :status sat)
+          (get-model)
+          (declare-const s String)
+          (get-value (s))
+          (get-info :no-such-flag)
+          (echo 5)
+          (assert (str.in_re s (str.to_re "q")))
+          (check-sat)
+          (get-model)
+          (get-info :statistics)
+          (check-sat))",
+       {"sat", "sat"},
+       nullptr},
+      {"an unknown command stops the script",
+       R"((declare-const s String)
+          (check-sat)
+          (frobnicate)
+          (assert (str.in_re s re.none))
+          (check-sat))",
+       {"sat", "unsat"},
+       "unsupported command: frobnicate"},
+      {"a failed pop stops the script",
+       R"((declare-const s String)
+          (assert (str.in_re s re.none))
+          (check-sat)
+          (pop 1)
+          (check-sat))",
+       {"unsat", "unsat"},
+       "pop without matching push"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    RegexManager M;
+    TrManager T{M};
+    DerivativeEngine E{M, T};
+    RegexSolver Solver{E};
+
+    SmtSession Session{Solver};
+    std::vector<SmtSession::Reply> Replies = Session.executeAll(C.Script);
+    std::vector<SExpr> Forms = parseSExprs(C.Script).Forms;
+    std::vector<std::string> SessionVerdicts;
+    for (size_t I = 0; I != Replies.size(); ++I)
+      if (Forms[I].Kids[0].Text.rfind("check-sat", 0) == 0)
+        SessionVerdicts.push_back(Replies[I].Text);
+    EXPECT_EQ(SessionVerdicts, C.Verdicts);
+
+    SmtSolver Smt{Solver};
+    SmtResult R = Smt.solveScript(C.Script);
+    std::vector<std::string> ScriptVerdicts;
+    for (const SmtCheck &Check : R.Checks)
+      ScriptVerdicts.push_back(statusName(Check.Status));
+    if (!C.StopNote) {
+      EXPECT_EQ(ScriptVerdicts, C.Verdicts);
+      EXPECT_EQ(statusName(R.Status), C.Verdicts.back());
+      continue;
+    }
+    EXPECT_EQ(R.Status, SolveStatus::Unsupported);
+    EXPECT_EQ(R.Stop, StopReason::UnsupportedFragment);
+    EXPECT_EQ(R.Note, C.StopNote);
+    ASSERT_LE(ScriptVerdicts.size(), C.Verdicts.size());
+    EXPECT_TRUE(std::equal(ScriptVerdicts.begin(), ScriptVerdicts.end(),
+                           C.Verdicts.begin()));
+  }
+}
+
+/// A failed query leaves the script's verdict alone, and the last
+/// (get-info :statistics) answer is kept.
+TEST(SmtScriptChecksTest, ScriptKeepsTheLastStatisticsReply) {
+  RegexManager M;
+  TrManager T{M};
+  DerivativeEngine E{M, T};
+  RegexSolver Solver{E};
+  SmtSolver Smt{Solver};
+
+  SmtResult R = Smt.solveScript(R"(
+    (declare-const s String)
+    (get-info :statistics)
+    (assert (str.in_re s (str.to_re "ab")))
+    (check-sat)
+    (get-info :statistics)
+    (get-value (s)))");
+  EXPECT_EQ(R.Status, SolveStatus::Sat);
+  ASSERT_EQ(R.Checks.size(), 1u);
+  EXPECT_NE(R.Statistics.find(":checks-run 1"), std::string::npos);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - Support utility tests -------------------------===//
 
 #include "support/Hashing.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Stopwatch.h"
 #include "support/Unicode.h"
@@ -55,6 +56,73 @@ TEST(Unicode, Escaping) {
   EXPECT_EQ(escapeCodePoint(0x07), "\\u0007");
   EXPECT_EQ(escapeCodePoint(0x1F600), "\\U{01F600}");
   EXPECT_EQ(escapeWord({'a', 0x07}), "a\\u0007");
+}
+
+TEST(Json, Values) {
+  auto R = parseJson(R"({"a": [1, -2.5, "x\ny", true, null], "b": {}})");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  const JsonValue &V = R.Value;
+  ASSERT_TRUE(V.isObject());
+  const JsonValue *A = V.get("a");
+  ASSERT_TRUE(A && A->isArray());
+  EXPECT_EQ(A->asArray().size(), 5u);
+  EXPECT_EQ(A->asArray()[0].asNumber(), 1);
+  EXPECT_EQ(A->asArray()[1].asNumber(), -2.5);
+  EXPECT_EQ(A->asArray()[2].asString(), "x\ny");
+  EXPECT_TRUE(A->asArray()[3].asBool());
+  EXPECT_TRUE(A->asArray()[4].isNull());
+  EXPECT_TRUE(V.get("b")->isObject());
+  EXPECT_EQ(V.get("missing"), nullptr);
+}
+
+TEST(Json, UnicodeEscapes) {
+  auto R = parseJson(R"(["A中"])");
+  ASSERT_TRUE(R.Ok);
+  EXPECT_EQ(R.Value.asArray()[0].asString(), "A\xE4\xB8\xAD");
+}
+
+TEST(Json, Errors) {
+  EXPECT_FALSE(parseJson("{").Ok);
+  EXPECT_FALSE(parseJson("[1,]").Ok);
+  EXPECT_FALSE(parseJson("\"unterminated").Ok);
+  EXPECT_FALSE(parseJson("{} trailing").Ok);
+  EXPECT_FALSE(parseJson("{1: 2}").Ok);
+}
+
+TEST(Json, NestingBeyondTheLimitIsAParseError) {
+  // 200,000 open brackets used to overflow the stack of the recursive
+  // parser; past JsonMaxDepth the document is rejected instead.
+  std::string Deep(200000, '[');
+  Deep += std::string(200000, ']');
+  JsonParseResult R = parseJson(Deep);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("nesting deeper than"), std::string::npos);
+  EXPECT_EQ(R.ErrorPos, JsonMaxDepth);
+
+  std::string Objects;
+  for (size_t I = 0; I != 100000; ++I)
+    Objects += "{\"k\": ";
+  EXPECT_FALSE(parseJson(Objects + "1" + std::string(100000, '}')).Ok);
+
+  // Exactly at the limit still parses.
+  std::string AtLimit(JsonMaxDepth, '[');
+  AtLimit += std::string(JsonMaxDepth, ']');
+  EXPECT_TRUE(parseJson(AtLimit).Ok);
+}
+
+TEST(Json, WriterRoundTripsEveryByte) {
+  std::string All;
+  for (int C = 1; C != 256; ++C)
+    All += static_cast<char>(C);
+  std::string Doc;
+  appendJsonString(Doc, All);
+  JsonParseResult R = parseJson(Doc);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Value.asString(), All);
+
+  std::string Short;
+  appendJsonString(Short, "a\"b\\c\nd\te\rf\x01\x1f");
+  EXPECT_EQ(Short, R"("a\"b\\c\nd\te\rf\u0001\u001f")");
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -15,11 +15,13 @@
 #include "portfolio/Portfolio.h"
 #include "re/RegexParser.h"
 #include "support/Metrics.h"
+#include "support/Unicode.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 using namespace sbd;
@@ -217,6 +219,66 @@ TEST_F(VerdictCacheTest, LoadSkipsMalformedLinesAndMissingFileIsAnError) {
   std::remove(Path.c_str());
 
   EXPECT_EQ(C.load(::testing::TempDir() + "/definitely_missing.jsonl"), -1);
+}
+
+/// A witness element that is no code point (too large, overflowing, or
+/// fractional) marks a corrupt line: it is skipped, never wrapped into a
+/// different character.
+TEST_F(VerdictCacheTest, LoadSkipsOutOfRangeWitnessValues) {
+  std::string Path = ::testing::TempDir() + "/verdict_cache_range.jsonl";
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    Out << "{\"key\": \"wraps\", \"status\": \"sat\", "
+           "\"witness\": [4294967393]}\n"
+        << "{\"key\": \"overflows\", \"status\": \"sat\", "
+           "\"witness\": [97, 123456789012345678901]}\n"
+        << "{\"key\": \"above\", \"status\": \"sat\", "
+           "\"witness\": [1114112]}\n"
+        << "{\"key\": \"negative\", \"status\": \"sat\", "
+           "\"witness\": [-1]}\n"
+        << "{\"key\": \"fraction\", \"status\": \"sat\", "
+           "\"witness\": [97.5]}\n"
+        << "{\"key\": \"top\", \"status\": \"sat\", "
+           "\"witness\": [1114111, 0]}\n";
+  }
+  VerdictCache C;
+  EXPECT_EQ(C.load(Path), 1);
+  EXPECT_EQ(C.size(), 1u);
+  ASSERT_TRUE(C.lookup("top").has_value());
+  EXPECT_EQ(C.lookup("top")->Witness,
+            (std::vector<uint32_t>{MaxCodePoint, 0}));
+  for (const char *Bad : {"wraps", "overflows", "above", "negative",
+                          "fraction"})
+    EXPECT_FALSE(C.lookup(Bad).has_value()) << Bad;
+  std::remove(Path.c_str());
+}
+
+/// save → load → save reproduces the snapshot byte for byte, including
+/// keys with quotes, backslashes and every control byte.
+TEST_F(VerdictCacheTest, SaveLoadSaveIsByteIdentical) {
+  std::string First = ::testing::TempDir() + "/verdict_cache_first.jsonl";
+  std::string Second = ::testing::TempDir() + "/verdict_cache_second.jsonl";
+  VerdictCache C;
+  std::string Controls;
+  for (char Ch = 1; Ch != 0x20; ++Ch)
+    Controls += Ch;
+  C.insert(key("ab*c"), {true, {'a', 'c'}});
+  C.insert(key("~(a)&b"), {false, {}});
+  C.insert("q\"uo\\te\x7f\u00e9", {true, {0xE9, MaxCodePoint}});
+  C.insert(Controls, {true, {}});
+  ASSERT_TRUE(C.save(First));
+
+  VerdictCache D;
+  EXPECT_EQ(D.load(First), 4);
+  ASSERT_TRUE(D.save(Second));
+  auto slurp = [](const std::string &Path) {
+    std::ifstream In(Path);
+    return std::string(std::istreambuf_iterator<char>(In), {});
+  };
+  EXPECT_FALSE(slurp(First).empty());
+  EXPECT_EQ(slurp(First), slurp(Second));
+  std::remove(First.c_str());
+  std::remove(Second.c_str());
 }
 
 /// Portfolio integration: the second identical query is answered from the

@@ -28,6 +28,7 @@
 #include "portfolio/Portfolio.h"
 #include "re/RegexParser.h"
 #include "solver/RegexSolver.h"
+#include "support/Json.h"
 #include "support/Stopwatch.h"
 #include "support/Unicode.h"
 
@@ -70,35 +71,6 @@ struct Input {
   std::string Name;
   std::string Pattern;
 };
-
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
 
 std::vector<Input> corpusInputs(double Scale, uint64_t Seed) {
   std::vector<Input> Out;
@@ -217,9 +189,9 @@ int main(int Argc, char **Argv) {
     }
     if (A.Json) {
       std::string R = "{\"name\": ";
-      appendEscaped(R, In.Name);
+      appendJsonString(R, In.Name);
       R += ", \"pattern\": ";
-      appendEscaped(R, In.Pattern);
+      appendJsonString(R, In.Pattern);
       R += ", \"route\": \"" + std::string(solveEngineName(Route.Engine)) + "\"";
       R += ", \"route_reason\": \"" + std::string(Route.Reason) + "\"";
       R += ", \"predicted_states\": " +

@@ -16,8 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "policy/Json.h"
 #include "smt/SmtSolver.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 
 #include <cstdio>
@@ -268,14 +268,17 @@ int main(int Argc, char **Argv) {
     // replay outcome (contract checked by scripts/ci/obs_overhead.sh).
     std::string Out = "{\"artifact_index\": " + std::to_string(Idx);
     Out += ", \"artifact_count\": " + std::to_string(Records.size());
-    Out += ", \"status\": \"" + getString(R, "status") + "\"";
-    Out += ", \"stop_reason\": \"" + getString(R, "stop_reason") + "\"";
+    Out += ", \"status\": ";
+    appendJsonString(Out, getString(R, "status"));
+    Out += ", \"stop_reason\": ";
+    appendJsonString(Out, getString(R, "stop_reason"));
     Out +=
         ", \"total_us\": " + std::to_string((long long)getNumber(R, "total_us"));
     Out += ", \"states\": " + std::to_string((long long)getNumber(R, "states"));
     Out += ", \"replayed\": ";
     Out += (A.Replay && !ReplayStatus.empty()) ? "true" : "false";
-    Out += ", \"replay_status\": \"" + ReplayStatus + "\"";
+    Out += ", \"replay_status\": ";
+    appendJsonString(Out, ReplayStatus);
     Out += ", \"replay_total_us\": " + std::to_string(ReplayUs);
     Out += ", \"replay_stats\": " + ReplayStatsJson;
     Out += "}";
