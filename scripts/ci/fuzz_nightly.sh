@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Nightly differential fuzz campaign: keep launching seeded sbd-fuzz runs
 # (dist_consistency law included — every 8th arena batch re-solves through
-# forked coordinator/worker processes) until the wall-clock budget is
+# forked coordinator/worker processes — and arena_history_independence on
+# every sample) until the wall-clock budget is
 # spent. Much deeper than the 3-seed PR smoke: fresh seeds every night,
 # shrunken discrepancies collected as ready-to-paste regression tests.
 #

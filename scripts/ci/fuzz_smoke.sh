@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Differential fuzz smoke: a seeded sbd-fuzz campaign across every engine,
-# failing on any discrepancy, plus the --corrupt self-check proving the
-# oracle still *catches* an injected bug (a fuzzer that can never fail is
-# worthless — this guards the guard).
+# failing on any discrepancy of any oracle law (arena_history_independence
+# included: every sample is also solved on a fresh stack and on a stack
+# polluted by unrelated patterns, and must come out byte-equal), plus the
+# --corrupt self-check proving the oracle still *catches* an injected bug
+# (a fuzzer that can never fail is worthless — this guards the guard).
 #
 # Environment:
 #   SBD_FUZZ_SEED        campaign seed (default 1; the CI job runs a small

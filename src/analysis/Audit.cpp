@@ -29,6 +29,17 @@ void scanDuplicates(size_t NumNodes, ViolationKind Kind, HashFn &&Hash,
   }
 }
 
+/// True when every child id precedes \p Id. Recomputing a hash reads the
+/// children's nodes, which a corrupted forward reference must not reach;
+/// such nodes share hash bucket 0 (checkReNode/checkTrNode report them).
+template <typename Handle>
+bool childrenPrecede(const std::vector<Handle> &Kids, uint32_t Id) {
+  for (Handle K : Kids)
+    if (K.Id >= Id)
+      return false;
+  return true;
+}
+
 } // namespace
 
 Report audit::checkRegexArena(const RegexManager &M) {
@@ -38,7 +49,11 @@ Report audit::checkRegexArena(const RegexManager &M) {
     checkReNode(M, Re{Id}, Out);
   scanDuplicates(
       NumNodes, ViolationKind::ReDuplicateNode,
-      [&](uint32_t Id) { return detail::recomputeReHash(M.node(Re{Id})); },
+      [&](uint32_t Id) -> uint64_t {
+        return childrenPrecede(M.node(Re{Id}).Kids, Id)
+                   ? detail::recomputeReHash(M, Re{Id})
+                   : 0;
+      },
       [&](uint32_t A, uint32_t B) {
         const RegexNode &NA = M.node(Re{A}), &NB = M.node(Re{B});
         return NA.Kind == NB.Kind && NA.PredIdx == NB.PredIdx &&
@@ -56,7 +71,11 @@ Report audit::checkTrArena(const TrManager &T) {
     checkTrNode(T, Tr{Id}, Out);
   scanDuplicates(
       NumNodes, ViolationKind::TrDuplicateNode,
-      [&](uint32_t Id) { return detail::recomputeTrHash(T.node(Tr{Id})); },
+      [&](uint32_t Id) -> uint64_t {
+        return childrenPrecede(T.node(Tr{Id}).Kids, Id)
+                   ? detail::recomputeTrHash(T, Tr{Id})
+                   : 0;
+      },
       [&](uint32_t A, uint32_t B) {
         const TrNode &NA = T.node(Tr{A}), &NB = T.node(Tr{B});
         return NA.Kind == NB.Kind && NA.LeafRe == NB.LeafRe &&

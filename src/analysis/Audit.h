@@ -256,15 +256,18 @@ inline void checkIntervals(const std::vector<CharRange> &Rs, uint32_t NodeId,
 
 namespace detail {
 
-/// Independent recomputation of RegexManager's structural node hash; must
-/// stay field-for-field in sync with RegexManager::hashNode.
-inline uint64_t recomputeReHash(const RegexNode &N) {
+/// Independent recomputation of RegexManager's structural node hash (the
+/// predicate's content is rehashed rather than read from the manager's
+/// set-hash cache); must stay field-for-field in sync with
+/// RegexManager::hashNode. Children must precede \p R.
+inline uint64_t recomputeReHash(const RegexManager &M, Re R) {
+  const RegexNode &N = M.node(R);
   uint64_t H = hashMix(static_cast<uint64_t>(N.Kind));
-  H = hashCombine(H, N.PredIdx);
+  H = hashCombine(H, N.Kind == RegexKind::Pred ? M.predSet(R).hash() : 0);
   H = hashCombine(H, N.LoopMin);
   H = hashCombine(H, N.LoopMax);
   for (Re Kid : N.Kids)
-    H = hashCombine(H, Kid.Id);
+    H = hashCombine(H, M.node(Kid).Hash);
   return H;
 }
 
@@ -305,13 +308,13 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
       TopologyOk = false;
     }
 
-  if (N.Hash != detail::recomputeReHash(N))
-    bad(ViolationKind::ReStaleHash, "stored hash != recomputed hash");
-
   // Every check below reads the children's stored attributes; with a
   // forward (or out-of-range) child reference those reads are undefined.
   if (!TopologyOk)
     return;
+
+  if (N.Hash != detail::recomputeReHash(M, R))
+    bad(ViolationKind::ReStaleHash, "stored hash != recomputed hash");
 
   // Arity by kind.
   size_t Arity = N.Kids.size();
@@ -452,7 +455,7 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
     bool HasEps = false, HasOtherNullable = false;
     for (size_t I = 0; I != N.Kids.size(); ++I) {
       Re Kid = N.Kids[I];
-      if (I && !(N.Kids[I - 1] < Kid))
+      if (I && !M.canonLess(N.Kids[I - 1], Kid))
         bad(ViolationKind::ReUnsortedOperands,
             "operand " + std::to_string(I) +
                 " not strictly greater than predecessor");
@@ -503,13 +506,17 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
 namespace detail {
 
 /// Independent recomputation of TrManager's structural node hash; must stay
-/// field-for-field in sync with TrManager::intern.
-inline uint64_t recomputeTrHash(const TrNode &N) {
+/// field-for-field in sync with TrManager::intern. Children must precede
+/// \p X.
+inline uint64_t recomputeTrHash(const TrManager &T, Tr X) {
+  const TrNode &N = T.node(X);
   uint64_t H = hashMix(static_cast<uint64_t>(N.Kind));
-  H = hashCombine(H, N.LeafRe.Id);
+  H = hashCombine(H, N.Kind == TrKind::Leaf
+                         ? T.regexManager().node(N.LeafRe).Hash
+                         : 0);
   H = hashCombine(H, N.Cond.hash());
   for (Tr Kid : N.Kids)
-    H = hashCombine(H, Kid.Id);
+    H = hashCombine(H, T.node(Kid).Hash);
   return H;
 }
 
@@ -544,13 +551,13 @@ inline void checkTrNode(const TrManager &T, Tr X, Report &Out) {
       TopologyOk = false;
     }
 
-  if (N.Hash != detail::recomputeTrHash(N))
-    bad(ViolationKind::TrStaleHash, "stored hash != recomputed hash");
-
-  // The kind-specific checks below read the children's stored state; with
-  // a forward (or out-of-range) child reference those reads are undefined.
+  // The checks below read the children's stored state; with a forward (or
+  // out-of-range) child reference those reads are undefined.
   if (!TopologyOk)
     return;
+
+  if (N.Hash != detail::recomputeTrHash(T, X))
+    bad(ViolationKind::TrStaleHash, "stored hash != recomputed hash");
 
   switch (N.Kind) {
   case TrKind::Leaf:
@@ -590,7 +597,7 @@ inline void checkTrNode(const TrManager &T, Tr X, Report &Out) {
     size_t Leaves = 0;
     for (size_t I = 0; I != N.Kids.size(); ++I) {
       Tr Kid = N.Kids[I];
-      if (I && !(N.Kids[I - 1] < Kid))
+      if (I && !T.canonLess(N.Kids[I - 1], Kid))
         bad(ViolationKind::TrUnsortedOperands,
             "operand " + std::to_string(I) +
                 " not strictly greater than predecessor");

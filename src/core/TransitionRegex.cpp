@@ -19,10 +19,11 @@ TrManager::TrManager(RegexManager &Mgr) : M(Mgr) {
 
 Tr TrManager::intern(TrNode Node) {
   uint64_t H = hashMix(static_cast<uint64_t>(Node.Kind));
-  H = hashCombine(H, Node.LeafRe.Id);
+  H = hashCombine(H, Node.Kind == TrKind::Leaf ? M.node(Node.LeafRe).Hash
+                                               : 0);
   H = hashCombine(H, Node.Cond.hash());
   for (Tr Kid : Node.Kids)
-    H = hashCombine(H, Kid.Id);
+    H = hashCombine(H, Nodes[Kid.Id].Hash);
   Node.Hash = H;
 #if SBD_AUDIT
   const size_t SizeBefore = Nodes.size();
@@ -45,6 +46,28 @@ Tr TrManager::intern(TrNode Node) {
     SBD_AUDIT_TR_NODE(*this, Tr{Id});
 #endif
   return Tr{Id};
+}
+
+bool TrManager::structLess(Tr A, Tr B) const {
+  const TrNode &NA = node(A), &NB = node(B);
+  if (NA.Kind != NB.Kind)
+    return NA.Kind < NB.Kind;
+  if (NA.LeafRe != NB.LeafRe)
+    return M.canonLess(NA.LeafRe, NB.LeafRe);
+  if (!(NA.Cond == NB.Cond))
+    return NA.Cond < NB.Cond;
+  if (NA.Kids.size() != NB.Kids.size())
+    return NA.Kids.size() < NB.Kids.size();
+  for (size_t I = 0; I != NA.Kids.size(); ++I)
+    if (NA.Kids[I] != NB.Kids[I])
+      return canonLess(NA.Kids[I], NB.Kids[I]);
+  return false; // structurally equal: the same interned node
+}
+
+void TrManager::sortCanonical(std::vector<Tr> &Kids) const {
+  std::sort(Kids.begin(), Kids.end(),
+            [this](Tr A, Tr B) { return canonLess(A, B); });
+  Kids.erase(std::unique(Kids.begin(), Kids.end()), Kids.end());
 }
 
 void TrManager::reserve(size_t NumNodes) {
@@ -109,8 +132,7 @@ Tr TrManager::union_(std::vector<Tr> Ts) {
     if (Merged != M.empty())
       Kids.push_back(leaf(Merged));
   }
-  std::sort(Kids.begin(), Kids.end());
-  Kids.erase(std::unique(Kids.begin(), Kids.end()), Kids.end());
+  sortCanonical(Kids);
   if (Kids.empty())
     return BotTr;
   if (Kids.size() == 1)
@@ -144,8 +166,7 @@ Tr TrManager::inter(std::vector<Tr> Ts) {
     if (Merged != M.top())
       Kids.push_back(leaf(Merged));
   }
-  std::sort(Kids.begin(), Kids.end());
-  Kids.erase(std::unique(Kids.begin(), Kids.end()), Kids.end());
+  sortCanonical(Kids);
   if (Kids.empty())
     return TopTr;
   if (Kids.size() == 1)

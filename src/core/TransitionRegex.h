@@ -39,13 +39,13 @@ enum class TrKind : uint8_t {
   Inter, ///< t1 & ... & tk, k >= 2
 };
 
-/// An interned transition-regex handle (valid with its TrManager).
+/// An interned transition-regex handle (valid with its TrManager). Like
+/// `Re`, handles have no ordering; TrManager::canonLess orders terms.
 struct Tr {
   uint32_t Id = 0;
 
   friend bool operator==(Tr A, Tr B) { return A.Id == B.Id; }
   friend bool operator!=(Tr A, Tr B) { return A.Id != B.Id; }
-  friend bool operator<(Tr A, Tr B) { return A.Id < B.Id; }
 };
 
 /// Interned storage for one transition-regex node.
@@ -54,7 +54,9 @@ struct TrNode {
   Re LeafRe{};          ///< Leaf only
   CharSet Cond;         ///< Ite only
   std::vector<Tr> Kids; ///< Ite: {then, else}; Union/Inter: n-ary
-  uint64_t Hash = 0;    ///< precomputed structural hash (interning key)
+  /// Structural hash (interning key): kind, the leaf's regex hash, the
+  /// guard's content and the children's hashes — never an id.
+  uint64_t Hash = 0;
 };
 
 /// One edge of a DNF transition regex: reading a character in [[Guard]] can
@@ -76,6 +78,15 @@ public:
   const TrNode &node(Tr T) const { return Nodes[T.Id]; }
   TrKind kind(Tr T) const { return Nodes[T.Id].Kind; }
   size_t numNodes() const { return Nodes.size(); }
+
+  /// The canonical order on transition regexes, used for the operands of
+  /// every Union/Inter node: stored structural hash first, then a full
+  /// structural comparison on a collision (RegexManager::canonLess for
+  /// leaves). Independent of arena history.
+  bool canonLess(Tr A, Tr B) const {
+    uint64_t HA = Nodes[A.Id].Hash, HB = Nodes[B.Id].Hash;
+    return HA != HB ? HA < HB : A != B && structLess(A, B);
+  }
 
   /// Pre-sizes the node arena and interning table.
   void reserve(size_t NumNodes);
@@ -156,6 +167,10 @@ public:
 
 private:
   Tr intern(TrNode Node);
+  /// canonLess for two distinct terms with equal hashes.
+  bool structLess(Tr A, Tr B) const;
+  /// Sorts \p Kids into canonical order and drops duplicates.
+  void sortCanonical(std::vector<Tr> &Kids) const;
 
   /// DNF worker: rewrites T under the (satisfiable) path condition \p Path.
   Tr dnfUnder(Tr T, const CharSet &Path);

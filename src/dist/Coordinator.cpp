@@ -70,8 +70,9 @@ struct DistSolver::Impl {
   bool Drained = false;
   Stopwatch Clock;
 
-  /// Coordinator-local arena for shard hashing only (recycled periodically;
-  /// no handle outlives one submit call).
+  /// Coordinator-local arena for shard hashing only (recycled periodically
+  /// to bound memory; no handle outlives one submit call). Keys are
+  /// canonical prints, which do not depend on what it parsed before.
   std::unique_ptr<RegexManager> ShardM = std::make_unique<RegexManager>();
   size_t ShardParses = 0;
 

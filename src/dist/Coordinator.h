@@ -27,9 +27,10 @@
 ///    counting as a requeue. If every worker dies, one is respawned.
 ///
 /// Results are returned in submission order and are byte-identical to a
-/// 1-process run: workers recycle their arena per query (see Worker.h), so
-/// verdicts and witnesses cannot depend on worker count, scheduling, or
-/// steals — the `dist_consistency` law and CI gate pin this.
+/// 1-process run: workers solve each query on a fresh stack (see Worker.h)
+/// and term order is independent of arena history, so verdicts and
+/// witnesses cannot depend on worker count, scheduling, or steals — the
+/// `dist_consistency` law and CI gate pin this.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,20 +34,13 @@ bool writeAll(int Fd, const std::vector<uint8_t> &Buf) {
 } // namespace
 
 int dist::runWorker(int InFd, int OutFd, const WorkerConfig &Config) {
-  // The worker's solver stack plus its shard of the verdict cache. The
-  // cache outlives every recycled stack: canonical-print keys are
-  // arena-portable, so warmth survives the fresh-arena-per-query rule.
+  // The worker's shard of the verdict cache. It outlives the per-query
+  // stacks: canonical-print keys are arena-portable, so warmth survives
+  // the fresh-stack-per-query rule.
   std::unique_ptr<cache::VerdictCache> Cache;
   if (Config.VerdictCacheCapacity)
     Cache = std::make_unique<cache::VerdictCache>(
         cache::VerdictCache::Config{Config.VerdictCacheCapacity});
-  auto freshStack = [&] {
-    auto W = std::make_unique<portfolio::SolverStack>();
-    W->P.setVerdictCache(Cache.get());
-    return W;
-  };
-  std::unique_ptr<portfolio::SolverStack> W = freshStack();
-  bool Dirty = false;
   size_t Handled = 0;
 
   std::vector<uint8_t> Out;
@@ -72,18 +65,14 @@ int dist::runWorker(int InFd, int OutFd, const WorkerConfig &Config) {
         ++Handled;
         if (Config.CrashAtRequest && Handled == Config.CrashAtRequest)
           _exit(137); // test hook: die as if SIGKILLed, mid-request
-        bool Recycle = Dirty && (!Config.ReuseArenas ||
-                                 (Config.ArenaNodeBudget &&
-                                  W->M.numNodes() > Config.ArenaNodeBudget));
-        if (Recycle)
-          W = freshStack();
+        auto W = std::make_unique<portfolio::SolverStack>();
+        W->P.setVerdictCache(Cache.get());
         BatchQuery Q;
         Q.Pattern = Req->Pattern;
         Q.Opts = Req->Opts;
         WireResponse Resp;
         Resp.Id = Req->Id;
-        Resp.Result = portfolio::solveOnStack(*W, Q, Config.ReuseArenas);
-        Dirty = true;
+        Resp.Result = portfolio::solveOnStack(*W, Q, false);
         Out.clear();
         encodeResponse(Out, Resp);
         if (!writeAll(OutFd, Out))

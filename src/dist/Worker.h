@@ -7,14 +7,13 @@
 /// Ready frame, then answers Request frames with Response frames until a
 /// Shutdown frame or EOF arrives.
 ///
-/// Each worker owns a full `portfolio::SolverStack` plus its own
-/// `cache::VerdictCache`. The stack is recycled (rebuilt fresh) after every
-/// query by default, mirroring BatchSolver's fresh-arena-per-query rule —
-/// warm arenas change interning order and with it witness bytes, which
-/// would break the byte-identical verdict-stream guarantee. Warmth across
-/// queries is instead carried by the verdict cache, whose canonical-print
-/// keys are arena- and process-portable and whose hits replay cold
-/// verdicts bit-identically (the `cache_consistency` law).
+/// Each worker owns its own `cache::VerdictCache` and solves every query
+/// on a fresh `portfolio::SolverStack`, exactly as BatchSolver does: the
+/// fresh stack bounds per-query memory and keeps state budgets independent
+/// of the queries a worker happened to receive. Warmth across queries is
+/// carried by the verdict cache, whose canonical-print keys are arena- and
+/// process-portable and whose hits replay cold verdicts bit-identically
+/// (the `cache_consistency` law).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,12 +27,6 @@ namespace dist {
 
 /// Worker-process knobs. Plumbed by the coordinator before fork.
 struct WorkerConfig {
-  /// Keep arenas across queries until they exceed ArenaNodeBudget nodes
-  /// (BatchOptions::ReuseArenas semantics). Off by default: determinism
-  /// over warmth.
-  bool ReuseArenas = false;
-  size_t ArenaNodeBudget = size_t{1} << 20;
-
   /// Per-worker verdict-cache capacity (entries). 0 disables the cache.
   size_t VerdictCacheCapacity = 4096;
 

@@ -310,7 +310,8 @@ FuzzReport sbd::fuzz::runFuzz(const FuzzOptions &Opts) {
           // shrinks stay cheap.
           OracleOptions SOpts = Opts.Oracle;
           SOpts.CheckSat = D.Law == OracleLaw::SatVerdict ||
-                           D.Law == OracleLaw::WitnessValid;
+                           D.Law == OracleLaw::WitnessValid ||
+                           D.Law == OracleLaw::ArenaHistory;
           DifferentialOracle Check(Eng, Solver, SOpts);
           if (Opts.CorruptStub)
             Check.setStub(interAsUnionStub());

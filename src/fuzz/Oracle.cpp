@@ -3,6 +3,7 @@
 #include "fuzz/Oracle.h"
 
 #include "portfolio/Portfolio.h"
+#include "portfolio/SolverStack.h"
 #include "re/RegexParser.h"
 #include "support/Metrics.h"
 #include "support/Stopwatch.h"
@@ -36,6 +37,8 @@ const char *sbd::fuzz::oracleLawName(OracleLaw L) {
     return "cache_consistency";
   case OracleLaw::DistConsistency:
     return "dist_consistency";
+  case OracleLaw::ArenaHistory:
+    return "arena_history_independence";
   }
   return "?";
 }
@@ -252,6 +255,7 @@ void DifferentialOracle::checkSatVerdicts(std::vector<Discrepancy> &Out) {
                    FirstDefinite->Res.isUnsat();
 
   checkVerdictCache(Out);
+  checkArenaHistory(Out);
 }
 
 void DifferentialOracle::checkVerdictCache(std::vector<Discrepancy> &Out) {
@@ -309,6 +313,67 @@ void DifferentialOracle::checkVerdictCache(std::vector<Discrepancy> &Out) {
     disagree("post-clear re-solve", Cold2);
 }
 
+namespace {
+
+/// Unrelated patterns every history stack interns first, so the first
+/// sample of a batch already meets a non-empty arena history.
+const char *const HistorySeeds[] = {
+    "xyz", "(zq|xyz)&~(.*k)", "(a|b)*c{2,4}", "~(.*ab.*)&[0-9]+",
+    ".*(ba|q)&(b|xy)*", "[a-f]{3}|~([0-9]*)"};
+
+/// Parses \p Pattern into \p W's arena and δdnf-expands its first few
+/// derivative states, without solving: the arena and derivative memos grow,
+/// the derivative graph does not.
+void addToHistory(portfolio::SolverStack &W, const std::string &Pattern) {
+  RegexParseResult P = parseRegex(W.M, Pattern);
+  if (!P.Ok)
+    return;
+  std::vector<Re> Todo = {P.Value};
+  for (size_t I = 0; I != Todo.size() && I != 16; ++I)
+    for (const TrArc &A : W.T.arcs(W.E.derivativeDnf(Todo[I])))
+      Todo.push_back(A.Target);
+}
+
+} // namespace
+
+void DifferentialOracle::checkArenaHistory(std::vector<Discrepancy> &Out) {
+  if (!History) {
+    History = std::make_unique<portfolio::SolverStack>();
+    for (const char *Seed : HistorySeeds)
+      addToHistory(*History, Seed);
+  }
+  BatchQuery Q;
+  Q.Pattern = M.toString(Cur);
+  Q.Opts.MaxStates = Opts.SolverMaxStates;
+  // Everything the law compares, one field per line.
+  auto outcome = [&](portfolio::SolverStack &W) {
+    RegexParseResult P = parseRegex(W.M, Q.Pattern);
+    if (!P.Ok)
+      return "parse error: " + P.Error;
+    W.S.resetGraph();
+    BatchResult R = portfolio::solveOnStack(W, Q, false);
+    std::string S = "print " + W.M.toString(P.Value) + "\nkey " +
+                    cache::canonicalVerdictKey(W.M, P.Value, Q.Opts) +
+                    "\nstatus " + statusName(R.Result.Status) + "\nstop " +
+                    stopReasonName(R.Result.Stop) + "\nstates " +
+                    std::to_string(R.Result.StatesExplored) + "\nwitness";
+    for (uint32_t Cp : R.Result.Witness)
+      S += " " + std::to_string(Cp);
+    return S;
+  };
+  portfolio::SolverStack Fresh;
+  std::string Want = outcome(Fresh);
+  std::string Got = outcome(*History);
+  addToHistory(*History, Q.Pattern);
+  ++Checks;
+  SBD_OBS_INC(FuzzChecks);
+  if (Got == Want)
+    return;
+  SBD_OBS_INC(FuzzDiscrepancies);
+  Out.push_back(makeDiscrepancy(OracleLaw::ArenaHistory, {}, "arena_history",
+                                "fresh stack:\n" + Want +
+                                    "\npolluted stack:\n" + Got));
+}
 
 void DifferentialOracle::checkAnalyzerPrefix(const std::vector<uint32_t> &W,
                                              const char *Engine,

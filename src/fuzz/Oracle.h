@@ -31,6 +31,11 @@
 ///   - De Morgan duals: ~(A&B) ≡ ~A|~B and ~(A|B) ≡ ~A&~B, checked by
 ///     membership sampling *and* by solver-based equivalence.
 ///
+///  **Arena-history independence** (DESIGN.md §15): the sample solved on
+///  a fresh solver stack and on a stack whose arena already interned and
+///  δdnf-expanded unrelated patterns must print, key, and solve
+///  byte-identically (status, stop reason, states explored, witness).
+///
 ///  **Analyzer soundness** (DESIGN.md §14): every word any engine accepts
 ///  must start with the pre-solve analysis' required literal prefix (and
 ///  equal it exactly when the analysis claims the language is a single
@@ -61,6 +66,10 @@
 #include <vector>
 
 namespace sbd {
+namespace portfolio {
+struct SolverStack;
+} // namespace portfolio
+
 namespace fuzz {
 
 /// Which oracle law a discrepancy violated.
@@ -78,6 +87,8 @@ enum class OracleLaw : uint8_t {
                      ///< from the cold verdict (DESIGN.md §15)
   DistConsistency,   ///< 1-process and N-process verdict streams diverged
                      ///< for the same batch (DESIGN.md §16)
+  ArenaHistory,      ///< print, key, or solve differed between a fresh and
+                     ///< a pre-polluted arena (DESIGN.md §15)
 };
 
 /// Stable snake_case name for report output.
@@ -231,6 +242,9 @@ private:
   /// with an identical verdict+witness, and clearing the cache must
   /// reproduce the cold verdict bit-identically.
   void checkVerdictCache(std::vector<Discrepancy> &Out);
+  /// Arena-history independence law: solves Cur's print on a fresh stack
+  /// and on the history stack, then adds Cur to that history.
+  void checkArenaHistory(std::vector<Discrepancy> &Out);
 
   DerivativeEngine &Eng;
   RegexManager &M;
@@ -259,6 +273,10 @@ private:
   /// Private cache for the cache-consistency law; cleared and refilled per
   /// regex so counter deltas are exact.
   cache::VerdictCache VCache;
+  /// The arena-history law's polluted stack: it parses and δdnf-expands
+  /// fixed unrelated patterns and every earlier sample, but never keeps a
+  /// solve's derivative graph. Built on first use.
+  std::unique_ptr<portfolio::SolverStack> History;
 
   // Accumulators.
   int64_t EngineUs[EngCount] = {};

@@ -17,7 +17,7 @@ using namespace sbd;
 using portfolio::SolverStack;
 
 BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
-                                    bool LongLived) {
+                                    bool) {
   BatchResult Out;
   obs::ScopedSpan Span("query", "batch");
   Span.arg("pattern", Q.Pattern);
@@ -35,10 +35,7 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
     return Out;
   }
   Out.ParseOk = true;
-  SolveOptions Opts = Q.Opts;
-  if (LongLived)
-    Opts.EagerRowRecording = true;
-  Out.Result = W.P.checkSat(Parsed.Value, Opts);
+  Out.Result = W.P.checkSat(Parsed.Value, Q.Opts);
   // Sat witnesses are re-validated through the worker's matcher pool (the
   // compiled serving path once a regex is hot). This is a pure guard:
   // verdicts and witnesses are unchanged on the (only observed) passing
@@ -98,32 +95,22 @@ BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
   Phases.clear();
 
   // The work loop every worker runs: claim the next unprocessed query index
-  // and solve it on this worker's stack. Results are written to disjoint
-  // slots, so no synchronization beyond the claim counter is needed.
+  // and solve it on a fresh stack. Results are written to disjoint slots,
+  // so no synchronization beyond the claim counter is needed.
   std::atomic<size_t> Next{0};
   std::mutex StatsMutex;
   auto workLoop = [&] {
-    auto W = std::make_unique<SolverStack>();
     CacheStats Local;
-    bool Dirty = false;
     for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
          I < Queries.size();
          I = Next.fetch_add(1, std::memory_order_relaxed)) {
-      bool Recycle =
-          Dirty &&
-          (!Opts.ReuseArenas ||
-           (Opts.ArenaNodeBudget && W->M.numNodes() > Opts.ArenaNodeBudget));
-      if (Recycle) {
-        Local += W->stats();
-        W = std::make_unique<SolverStack>();
-      }
-      Results[I] = solveOnStack(*W, Queries[I], Opts.ReuseArenas);
-      Dirty = true;
+      auto W = std::make_unique<SolverStack>();
+      Results[I] = solveOnStack(*W, Queries[I], false);
+      Local += W->stats();
       // Safe point for SIGUSR1-driven exposition dumps (one relaxed load
       // when no dump is pending).
       obs::pollExposition();
     }
-    Local += W->stats();
     std::lock_guard<std::mutex> Lock(StatsMutex);
     Stats += Local;
   };

@@ -9,6 +9,13 @@
 /// "recycle" is building a fresh one (hash-consing needs stable node ids,
 /// so arenas only ever grow; see DESIGN.md §7).
 ///
+/// One arena policy: the batch front ends build a fresh stack for every
+/// query, which bounds each query's memory and keeps its state budget
+/// independent of earlier queries. Only session front ends keep a stack
+/// alive across queries. Neither choice can change a result: operand order
+/// is structural (RegexManager::canonLess), so prints, cache keys, verdicts
+/// and witnesses do not depend on what an arena interned before.
+///
 /// `solveOnStack` is the one query execution path all of them share: parse
 /// on the stack's arena, route through the analyzer-driven portfolio, and
 /// revalidate Sat witnesses through the stack's matcher pool. Keeping it
@@ -50,12 +57,11 @@ struct SolverStack {
   }
 };
 
-/// Solves one query on the given stack. \p LongLived marks stacks that
-/// survive across queries (ReuseArenas), where eager dense-row recording
-/// pays for itself on the very next shared vertex. Sat witnesses are
-/// revalidated through the stack's matcher pool; a failed revalidation is
-/// downgraded to Unknown rather than shipping an invalid witness.
-BatchResult solveOnStack(SolverStack &W, const BatchQuery &Q, bool LongLived);
+/// Solves one query on the given stack. Sat witnesses are revalidated
+/// through the stack's matcher pool; a failed revalidation is downgraded to
+/// Unknown rather than shipping an invalid witness.
+// The bool is ignored; it is kept so existing callers (perfbench) compile.
+BatchResult solveOnStack(SolverStack &W, const BatchQuery &Q, bool);
 
 } // namespace portfolio
 } // namespace sbd

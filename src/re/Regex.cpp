@@ -42,6 +42,7 @@ uint32_t RegexManager::internSet(const CharSet &Set) {
       [&] {
         uint32_t Idx = static_cast<uint32_t>(Sets.size());
         Sets.push_back(Set);
+        SetHashes.push_back(H);
         return Idx;
       },
       Stats);
@@ -49,17 +50,36 @@ uint32_t RegexManager::internSet(const CharSet &Set) {
 
 uint64_t RegexManager::hashNode(const RegexNode &Node) const {
   uint64_t H = hashMix(static_cast<uint64_t>(Node.Kind));
-  H = hashCombine(H, Node.PredIdx);
+  H = hashCombine(H, Node.Kind == RegexKind::Pred ? SetHashes[Node.PredIdx]
+                                                  : 0);
   H = hashCombine(H, Node.LoopMin);
   H = hashCombine(H, Node.LoopMax);
   for (Re Kid : Node.Kids)
-    H = hashCombine(H, Kid.Id);
+    H = hashCombine(H, Nodes[Kid.Id].Hash);
   return H;
 }
 
 bool RegexManager::nodeEquals(const RegexNode &A, const RegexNode &B) const {
   return A.Kind == B.Kind && A.PredIdx == B.PredIdx &&
          A.LoopMin == B.LoopMin && A.LoopMax == B.LoopMax && A.Kids == B.Kids;
+}
+
+bool RegexManager::structLess(Re A, Re B) const {
+  const RegexNode &NA = node(A), &NB = node(B);
+  if (NA.Kind != NB.Kind)
+    return NA.Kind < NB.Kind;
+  if (NA.Kind == RegexKind::Pred)
+    return Sets[NA.PredIdx] < Sets[NB.PredIdx];
+  if (NA.LoopMin != NB.LoopMin)
+    return NA.LoopMin < NB.LoopMin;
+  if (NA.LoopMax != NB.LoopMax)
+    return NA.LoopMax < NB.LoopMax;
+  if (NA.Kids.size() != NB.Kids.size())
+    return NA.Kids.size() < NB.Kids.size();
+  for (size_t I = 0; I != NA.Kids.size(); ++I)
+    if (NA.Kids[I] != NB.Kids[I])
+      return canonLess(NA.Kids[I], NB.Kids[I]);
+  return false; // structurally equal: the same interned node
 }
 
 Re RegexManager::intern(RegexNode Node) {
@@ -257,30 +277,29 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
       Kids.push_back(Merged);
   }
 
-  std::sort(Kids.begin(), Kids.end());
+  auto Less = [this](Re A, Re B) { return canonLess(A, B); };
+  auto has = [&](Re R) {
+    return std::binary_search(Kids.begin(), Kids.end(), R, Less);
+  };
+  std::sort(Kids.begin(), Kids.end(), Less);
   Kids.erase(std::unique(Kids.begin(), Kids.end()), Kids.end());
 
   // ε & X = ε if ν(X) else ⊥; ε | X = X when ν(X).
-  if (!IsUnion) {
-    bool HasEps = std::binary_search(Kids.begin(), Kids.end(), EpsilonRe);
-    if (HasEps) {
+  if (has(EpsilonRe)) {
+    if (!IsUnion) {
       for (Re R : Kids)
         if (!nullable(R))
           return EmptyRe;
       return EpsilonRe;
     }
-  } else {
-    bool HasEps = std::binary_search(Kids.begin(), Kids.end(), EpsilonRe);
-    if (HasEps) {
-      bool OtherNullable = false;
-      for (Re R : Kids)
-        if (R != EpsilonRe && nullable(R)) {
-          OtherNullable = true;
-          break;
-        }
-      if (OtherNullable)
-        Kids.erase(std::find(Kids.begin(), Kids.end(), EpsilonRe));
-    }
+    bool OtherNullable = false;
+    for (Re R : Kids)
+      if (R != EpsilonRe && nullable(R)) {
+        OtherNullable = true;
+        break;
+      }
+    if (OtherNullable)
+      Kids.erase(std::find(Kids.begin(), Kids.end(), EpsilonRe));
   }
 
   // X op ~X collapses to the absorber (R | ~R = .*; R & ~R = ⊥). When the
@@ -290,12 +309,12 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
     if (kind(R) != RegexKind::Compl)
       continue;
     Re Op = node(R).Kids[0];
-    if (std::binary_search(Kids.begin(), Kids.end(), Op))
+    if (has(Op))
       return Absorber;
     if (kind(Op) == K) {
       bool AllPresent = true;
       for (Re OpKid : node(Op).Kids)
-        if (!std::binary_search(Kids.begin(), Kids.end(), OpKid)) {
+        if (!has(OpKid)) {
           AllPresent = false;
           break;
         }
@@ -311,7 +330,7 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
   RegexKind Dual = IsUnion ? RegexKind::Inter : RegexKind::Union;
   auto members = [&](Re R) -> std::vector<Re> {
     if (kind(R) == Dual)
-      return node(R).Kids; // sorted by construction
+      return node(R).Kids; // in canonical order by construction
     return {R};
   };
   std::vector<bool> Drop(Kids.size(), false);
@@ -325,8 +344,8 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
         continue;
       std::vector<Re> Other = members(Kids[J]);
       if (Other.size() < Mine.size() &&
-          std::includes(Mine.begin(), Mine.end(), Other.begin(),
-                        Other.end())) {
+          std::includes(Mine.begin(), Mine.end(), Other.begin(), Other.end(),
+                        Less)) {
         Drop[I] = true;
         AnyDropped = true;
       }

@@ -9,8 +9,8 @@
 ///
 /// The smart constructors quotient terms by exactly the laws Section 4 lists
 /// as the algebra the implementation works modulo:
-///   - `&`/`|` are idempotent, associative, commutative (flattened, sorted,
-///     deduplicated child lists);
+///   - `&`/`|` are idempotent, associative, commutative (flattened,
+///     deduplicated child lists in the canonical order, see canonLess);
 ///   - `.*` is absorbing for `|` and the unit of `&`; `⊥` is the unit of `|`
 ///     and absorbing for `&` and `·`; `ε` is the unit of `·`;
 ///   - `~~R = R`, `~⊥ = .*`, `~.* = ⊥`;
@@ -55,13 +55,14 @@ inline constexpr uint32_t LoopInf = std::numeric_limits<uint32_t>::max();
 
 /// An interned regex handle. Cheap to copy; valid only together with the
 /// RegexManager that produced it. Equality is semantic equality modulo the
-/// similarity laws above (same manager).
+/// similarity laws above (same manager). Handles deliberately have no
+/// ordering: ids record interning order, which depends on arena history,
+/// so term structure is ordered by RegexManager::canonLess instead.
 struct Re {
   uint32_t Id = 0;
 
   friend bool operator==(Re A, Re B) { return A.Id == B.Id; }
   friend bool operator!=(Re A, Re B) { return A.Id != B.Id; }
-  friend bool operator<(Re A, Re B) { return A.Id < B.Id; }
 };
 
 /// Interned storage for one regex node. Exposed read-only via
@@ -76,7 +77,10 @@ struct RegexNode {
   uint32_t Size;         ///< syntax-tree node count (shared nodes recounted)
   uint32_t NumPreds;     ///< ♯(R): predicate leaves in the syntax tree
   uint32_t StarHeight;   ///< nesting depth of * / unbounded loops
-  uint64_t Hash = 0;     ///< precomputed structural hash (interning key)
+  /// Structural hash (interning key): kind, predicate content, loop bounds
+  /// and the children's hashes — never an id, so it is the same in every
+  /// arena.
+  uint64_t Hash = 0;
 };
 
 /// Arena + hash-consing table for regexes, and the home of the smart
@@ -144,6 +148,17 @@ public:
   /// Number of interned nodes (diagnostics).
   size_t numNodes() const { return Nodes.size(); }
 
+  /// The canonical order on terms, used for the operands of every `|`/`&`
+  /// node: stored structural hash first, then a full structural comparison
+  /// on a hash collision. It depends on term structure only, so operand
+  /// order, printing and everything derived from them are independent of
+  /// what the arena interned earlier. A strict total order on the terms of
+  /// one manager.
+  bool canonLess(Re A, Re B) const {
+    uint64_t HA = Nodes[A.Id].Hash, HB = Nodes[B.Id].Hash;
+    return HA != HB ? HA < HB : A != B && structLess(A, B);
+  }
+
   /// Test-only backdoor for the audit negative tests (tests/AuditTest.cpp):
   /// mutable access to interned storage so a test can corrupt an invariant
   /// and prove sbd::audit detects it. Breaks the hash-consing contract —
@@ -184,6 +199,8 @@ private:
   Re intern(RegexNode Node);
   uint64_t hashNode(const RegexNode &Node) const;
   bool nodeEquals(const RegexNode &A, const RegexNode &B) const;
+  /// canonLess for two distinct terms with equal hashes.
+  bool structLess(Re A, Re B) const;
   uint32_t internSet(const CharSet &Set);
 
   /// Appends R's children if R has the given associative kind, else R
@@ -197,6 +214,7 @@ private:
   std::vector<RegexNode> Nodes;
   InternTable ConsTable;
   std::vector<CharSet> Sets;
+  std::vector<uint64_t> SetHashes; ///< CharSet::hash() of each Sets entry
   InternTable SetTable;
   CacheStats Stats;
 

@@ -309,12 +309,11 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
                          return Dfs ? SA > SB : SA < SB;
                        });
     }
-    // Record the dense row when this is a *re*-expansion (the vertex was
-    // already closed by an earlier query or caseSplit): a vertex seen twice
-    // is likely to be seen again, and recording on the second pass keeps
-    // one-shot queries free of per-vertex row allocations. Long-lived
-    // stacks opt into first-expansion recording instead.
-    bool RecordRow = Opts.EagerRowRecording || Graph.isClosed(Cur);
+    // Record the dense row only on a *re*-expansion (the vertex was already
+    // closed by an earlier query or caseSplit): a vertex seen twice is
+    // likely to be seen again, and one-shot queries pay no per-vertex row
+    // allocation.
+    bool RecordRow = Graph.isClosed(Cur);
     std::vector<Re> Targets;
     std::vector<uint32_t> Chars;
     Targets.reserve(Arcs.size());

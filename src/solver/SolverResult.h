@@ -117,12 +117,6 @@ struct SolveOptions {
   /// be closer to ε, steering DFS toward witnesses. Never affects the
   /// verdict, only exploration order.
   bool PreferSimplerArcs = false;
-  /// Record a vertex's dense successor row on its *first* expansion rather
-  /// than on re-expansion. Pays one row allocation per vertex up front, so
-  /// it only makes sense when the solver stack is long-lived and queries
-  /// share vertices (BatchSolver turns it on under ReuseArenas). Never
-  /// affects the verdict.
-  bool EagerRowRecording = false;
 };
 
 /// Per-query attribution of work done while solving: how many derivative

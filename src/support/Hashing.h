@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Hash combinators used by the hash-consing arenas. Structural node hashes
-/// are built by folding the children's interned ids with `hashCombine`.
+/// are built by folding the children's stored structural hashes (never
+/// their ids) with `hashCombine`, so a term hashes the same in every arena.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -200,8 +200,8 @@ TEST_F(AuditTest, DetectsUnmergedPredicates) {
   Re U = M.union_(re("a+"), re("b+"));
   ASSERT_EQ(M.kind(U), RegexKind::Union);
   RegexNode &N = M.mutableNodeForAudit(U);
-  N.Kids[0] = A < B ? A : B;
-  N.Kids[1] = A < B ? B : A;
+  N.Kids[0] = M.canonLess(A, B) ? A : B;
+  N.Kids[1] = M.canonLess(A, B) ? B : A;
   EXPECT_GT(reNode(U).count(ViolationKind::ReUnmergedPreds), 0u);
 }
 

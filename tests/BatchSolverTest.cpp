@@ -130,31 +130,6 @@ TEST(BatchSolverTest, DeterministicAcrossThreadCounts) {
   EXPECT_GE(Unsat, 10u);
 }
 
-TEST(BatchSolverTest, DeterministicWithArenaReuse) {
-  // Warm-arena mode keeps interned state across the queries of one worker;
-  // BFS verdicts and shortest-witness lengths must still be independent of
-  // thread count and of which worker processed which query.
-  std::vector<BatchQuery> Queries = toQueries(mixedCorpus());
-
-  BatchOptions Reuse1;
-  Reuse1.NumThreads = 1;
-  Reuse1.ReuseArenas = true;
-  BatchOptions Reuse8;
-  Reuse8.NumThreads = 8;
-  Reuse8.ReuseArenas = true;
-
-  BatchSolver S1(Reuse1), S8(Reuse8);
-  std::vector<BatchResult> R1 = S1.solveAll(Queries);
-  std::vector<BatchResult> R8 = S8.solveAll(Queries);
-  ASSERT_EQ(R1.size(), R8.size());
-  for (size_t I = 0; I != R1.size(); ++I) {
-    EXPECT_EQ(R1[I].Result.Status, R8[I].Result.Status)
-        << Queries[I].Pattern;
-    EXPECT_EQ(R1[I].Result.Witness.size(), R8[I].Result.Witness.size())
-        << Queries[I].Pattern;
-  }
-}
-
 TEST(BatchSolverTest, PerQueryBudgetsApplyIndividually) {
   // Query 1 carries a one-state budget and must come back Unknown; its
   // neighbors carry no budget and must still be decided exactly.

@@ -25,7 +25,6 @@ WireRequest sampleRequest() {
   Req.Opts.MaxStates = 4096;
   Req.Opts.Strategy = SearchStrategy::Dfs;
   Req.Opts.PreferSimplerArcs = true;
-  Req.Opts.EagerRowRecording = true;
   return Req;
 }
 
@@ -66,7 +65,6 @@ TEST(DistProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(Back->Opts.MaxStates, Req.Opts.MaxStates);
   EXPECT_EQ(Back->Opts.Strategy, Req.Opts.Strategy);
   EXPECT_TRUE(Back->Opts.PreferSimplerArcs);
-  EXPECT_TRUE(Back->Opts.EagerRowRecording);
   EXPECT_TRUE(Reader.idle());
 }
 
@@ -226,6 +224,12 @@ TEST(DistProtocolTest, MalformedPayloadsDecodeToNullopt) {
   std::vector<uint8_t> BadStrat = Payload;
   BadStrat[BadStrat.size() - 2] = 0xEE; // Strategy byte
   EXPECT_FALSE(decodeRequest(BadStrat).has_value());
+  // Undefined flag bits: only bit 0 (PreferSimplerArcs) exists.
+  for (uint8_t Flags : {uint8_t{0x02}, uint8_t{0x80}}) {
+    std::vector<uint8_t> BadFlags = Payload;
+    BadFlags.back() = Flags;
+    EXPECT_FALSE(decodeRequest(BadFlags).has_value()) << int(Flags);
+  }
 
   // Response with a witness count pointing past the payload.
   std::vector<uint8_t> RWire;

@@ -93,6 +93,23 @@ TEST(FuzzOracle, DeMorganLawsHoldOnCorpusPairs) {
   EXPECT_TRUE(Ds.empty()) << (Ds.empty() ? "" : Ds.front().Detail);
 }
 
+// The arena_history_independence law over generated regexes: each sample
+// must print, key and solve identically on a fresh stack and on a stack
+// that interned every earlier sample first. Generated terms share
+// subterms, so the history stack sees related and unrelated terms alike.
+TEST(FuzzOracle, ArenaHistoryIndependenceHoldsOnGeneratedRegexes) {
+  OracleFixture F;
+  RegexGenerator G(F.M, 4242);
+  std::vector<Discrepancy> Ds;
+  uint64_t ChecksBefore = F.O.checksRun();
+  for (int I = 0; I != 100; ++I)
+    F.O.beginRegex(G.generate(), Ds);
+  EXPECT_GE(F.O.checksRun() - ChecksBefore, 100u);
+  for (const Discrepancy &D : Ds)
+    ADD_FAILURE() << oracleLawName(D.Law) << " on " << D.Pattern << ":\n"
+                  << D.Detail;
+}
+
 //===----------------------------------------------------------------------===//
 // Generators: determinism and constructor coverage.
 //===----------------------------------------------------------------------===//

@@ -281,7 +281,8 @@ TEST(RegexInternStress, HundredThousandDistinctRebuildIsIdentity) {
 
   // The family is pairwise distinct by construction (distinct literals).
   std::vector<Re> Sorted = First;
-  std::sort(Sorted.begin(), Sorted.end());
+  std::sort(Sorted.begin(), Sorted.end(),
+            [](Re A, Re B) { return A.Id < B.Id; });
   ASSERT_EQ(std::adjacent_find(Sorted.begin(), Sorted.end()), Sorted.end())
       << "stress family must be pairwise distinct";
 

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 using namespace sbd;
 
@@ -189,6 +190,47 @@ TEST_F(SmtSessionTest, RepeatedChecksHitTheVerdictCache) {
 
   SmtResult Last = Session.lastResult();
   EXPECT_EQ(Last.Status, SolveStatus::Sat);
+}
+
+/// The restart case of DESIGN.md §15: a cache snapshot saved by a session
+/// whose arena first served unrelated asserts, loaded into the cache of a
+/// fresh session, must answer the same assert. Keys are canonical prints,
+/// and prints do not depend on interning order (`xyz` interned first used
+/// to print the union below as `(xyz|zq)` in the old session only).
+TEST_F(SmtSessionTest, CacheSnapshotFromWarmSessionHitsAfterRestart) {
+  const std::string Query = R"(
+    (declare-const s String)
+    (assert (str.in_re s (re.union (str.to_re "zq") (str.to_re "xyz"))))
+    (assert (not (str.in_re s (re.++ re.all (str.to_re "k"))))))";
+  std::string Path = ::testing::TempDir() + "/smt_session_restart.jsonl";
+  {
+    RegexManager OldM;
+    TrManager OldT{OldM};
+    DerivativeEngine OldE{OldM, OldT};
+    RegexSolver OldSolver{OldE};
+    SmtSession Old{OldSolver};
+    cache::VerdictCache OldCache;
+    Old.setVerdictCache(&OldCache);
+    Old.executeAll(R"(
+      (declare-const t String)
+      (assert (str.in_re t (re.+ (str.to_re "xyz"))))
+      (check-sat)
+      (reset))");
+    Old.executeAll(Query);
+    std::vector<SmtSession::Reply> Replies = Old.executeAll("(check-sat)");
+    ASSERT_EQ(Replies.size(), 1u);
+    ASSERT_EQ(Replies[0].Text, "sat");
+    ASSERT_TRUE(OldCache.save(Path));
+  }
+
+  cache::VerdictCache Cache;
+  ASSERT_GT(Cache.load(Path), 0);
+  Session.setVerdictCache(&Cache);
+  run(Query);
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  EXPECT_GE(Cache.counters().Hits, 1u);
+  EXPECT_EQ(Cache.counters().Misses, 0u);
+  std::remove(Path.c_str());
 }
 
 TEST_F(SmtSessionTest, LastResultTracksTheMostRecentCheck) {

@@ -12,6 +12,7 @@
 #include "cache/VerdictCache.h"
 
 #include "core/Derivatives.h"
+#include "fuzz/Generator.h"
 #include "portfolio/Portfolio.h"
 #include "re/RegexParser.h"
 #include "support/Metrics.h"
@@ -88,6 +89,29 @@ TEST_F(VerdictCacheTest, KeyRoundTripsThroughPrintAndReparse) {
     Re R2 = parseRegexOrDie(M2, M.toString(R));
     std::string K2 = canonicalVerdictKey(M2, R2, Opts);
     EXPECT_EQ(K1, K2) << "key not canonical across arenas for " << P;
+  }
+}
+
+/// Cross-arena identity must not depend on what an arena interned before:
+/// operand order is structural, so a term keys the same in a fresh arena
+/// and in one that has seen other terms (here `xyz` first, which used to
+/// flip the union to `(xyz|zq)`, then every earlier generated sample).
+TEST_F(VerdictCacheTest, KeyIsIndependentOfArenaHistory) {
+  std::vector<std::string> Patterns = {"(zq|xyz)&~(.*k)"};
+  RegexManager GenM;
+  fuzz::RegexGenerator Gen(GenM, 77);
+  for (int I = 0; I != 100; ++I)
+    Patterns.push_back(GenM.toString(Gen.generate()));
+  RegexManager Warm;
+  parseRegexOrDie(Warm, "xyz");
+  SolveOptions Opts;
+  for (const std::string &P : Patterns) {
+    RegexManager Fresh;
+    std::string Want =
+        canonicalVerdictKey(Fresh, parseRegexOrDie(Fresh, P), Opts);
+    std::string Got = canonicalVerdictKey(Warm, parseRegexOrDie(Warm, P), Opts);
+    ASSERT_FALSE(Want.empty()) << P;
+    EXPECT_EQ(Want, Got) << P;
   }
 }
 

@@ -18,7 +18,6 @@
 ///   sbd-dist --max-inflight M        admission bound per worker
 ///   sbd-dist --rpc-timeout-ms T      per-query round-trip budget
 ///   sbd-dist --max-states N          per-query state budget
-///   sbd-dist --reuse-arenas          workers keep arenas across queries
 ///   sbd-dist --stats                 scheduling stats as JSON on stderr
 ///   sbd-dist --test-crash-worker I:N worker I dies on its Nth request
 ///
@@ -50,9 +49,10 @@ int usage(const char *Prog) {
       "usage: %s [--corpus file | --gen] [--scale f] [--seed n]\n"
       "       [--export-corpus path] [--workers N] [--shards K]\n"
       "       [--max-inflight M] [--rpc-timeout-ms T] [--max-states N]\n"
-      "       [--reuse-arenas] [--stats] [--test-crash-worker I:N]\n"
+      "       [--stats] [--test-crash-worker I:N]\n"
       "Solves a pattern corpus across forked worker processes and prints\n"
-      "the canonical verdict stream (DESIGN.md \xc2\xa7" "16).\n",
+      "the canonical verdict stream (DESIGN.md \xc2\xa7" "16). Every query\n"
+      "is solved on a fresh solver stack in its worker.\n",
       Prog);
   return 2;
 }
@@ -153,8 +153,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return 2;
       QueryOpts.MaxStates = static_cast<size_t>(std::atoll(V));
-    } else if (std::strcmp(Arg, "--reuse-arenas") == 0) {
-      Opts.Worker.ReuseArenas = true;
     } else if (std::strcmp(Arg, "--stats") == 0) {
       Stats = true;
     } else if (std::strcmp(Arg, "--test-crash-worker") == 0) {
