@@ -203,7 +203,6 @@ inline void printPhaseTable(const SolveStats &Agg) {
   std::printf("  %-8s %10.1f\n", "parse", Ms(Agg.ParseUs));
   std::printf("  %-8s %10.1f\n", "derive", Ms(Agg.DeriveUs));
   std::printf("  %-8s %10.1f\n", "dnf", Ms(Agg.DnfUs));
-  std::printf("  %-8s %10.1f\n", "probe", Ms(Agg.CacheProbeUs));
   std::printf("  %-8s %10.1f\n", "scan", Ms(Agg.ScanUs));
   std::printf("  %-8s %10.1f\n", "search", Ms(Agg.SearchUs));
   std::printf("  %-8s %10.1f\n", "total", Ms(Agg.TotalUs));
@@ -221,14 +220,13 @@ inline void printEnginePhaseTable(const std::vector<EnginePhaseRow> &Rows) {
     return;
   auto Ms = [](int64_t Us) { return static_cast<double>(Us) / 1000.0; };
   std::printf("per-engine phase breakdown:\n");
-  std::printf("  %-12s %8s %10s %10s %10s %10s %10s\n", "engine", "queries",
-              "derive(ms)", "dnf(ms)", "probe(ms)", "search(ms)", "total(ms)");
+  std::printf("  %-12s %8s %10s %10s %10s %10s\n", "engine", "queries",
+              "derive(ms)", "dnf(ms)", "search(ms)", "total(ms)");
   for (const EnginePhaseRow &R : Rows)
-    std::printf("  %-12s %8llu %10.1f %10.1f %10.1f %10.1f %10.1f\n",
+    std::printf("  %-12s %8llu %10.1f %10.1f %10.1f %10.1f\n",
                 solveEngineName(R.Engine),
                 static_cast<unsigned long long>(R.Queries),
-                Ms(R.Stats.DeriveUs), Ms(R.Stats.DnfUs),
-                Ms(R.Stats.CacheProbeUs), Ms(R.Stats.SearchUs),
+                Ms(R.Stats.DeriveUs), Ms(R.Stats.DnfUs), Ms(R.Stats.SearchUs),
                 Ms(R.Stats.TotalUs));
 }
 

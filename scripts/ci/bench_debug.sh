@@ -47,7 +47,7 @@ for key in ("derivative_calls", "dnf_calls", "memo_hits", "solve_time_us",
             "trace_events_dropped", "slow_queries_captured"):
     assert key in stats["counters"], key
 for key in ("engine", "parse_us", "minterm_us", "derive_us", "dnf_us",
-            "cache_probe_us", "scan_us", "search_us", "total_us"):
+            "scan_us", "search_us", "total_us"):
     assert key in stats["aggregate"], key
 for hist in ("solve_latency_us", "dnf_expansion_arcs"):
     for key in ("count", "p50", "p90", "p99", "buckets"):

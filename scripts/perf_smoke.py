@@ -37,7 +37,9 @@ Two modes:
       long-horizon view the one-baseline compare cannot give.
 
 Beyond the ratio checks, the guard asserts on every compare that
-  - dense_row_hits > 0: the solver's dense-row replay path actually fired;
+  - brzozowski_calls > 0: witnesses were revalidated through the classical
+    Brzozowski matcher (a revalidation that silently stops running trips
+    this);
   - analysis_nodes_visited > 0 and analysis_cache_hits > 0: every query
     went through the pre-solve static analyzer, and the memo actually
     carried weight across the corpus (DESIGN.md section 14);
@@ -162,7 +164,7 @@ def snapshot(micro_path, corpus_path, out_path):
         "corpus_direct_ms": groups,
         "corpus_counters": {
             k: counters[k]
-            for k in ("dense_row_hits", "dfa_states_built", "dfa_evictions",
+            for k in ("dfa_states_built", "dfa_evictions",
                       "alphabet_minterms", "analysis_nodes_visited",
                       "analysis_cache_hits", "verdict_cache_hits",
                       "verdict_cache_misses", "verdict_cache_inserts",
@@ -240,11 +242,11 @@ def compare(baseline_path, micro_path, corpus_path):
                 f"  corpus {name}: {cur_ms:.1f}ms vs baseline "
                 f"{base_ms:.1f}ms ({cur_ms / base_ms:.2f}x > {tol}x)")
 
-    hits = cur_counters.get("dense_row_hits", 0)
-    if hits <= 0:
+    brz = cur_counters.get("brzozowski_calls", 0)
+    if brz <= 0:
         failures.append(
-            "  corpus dense_row_hits == 0: the dense-row replay path never "
-            "fired")
+            "  corpus brzozowski_calls == 0: no witness was revalidated "
+            "through the classical matcher")
 
     for key in ("analysis_nodes_visited", "analysis_cache_hits"):
         if cur_counters.get(key, 0) <= 0:
@@ -303,7 +305,7 @@ def compare(baseline_path, micro_path, corpus_path):
     lat = cur_hists.get("solve_latency_us", {})
     speedup = cold_ms / warm_ms if warm_ms > 0 else 0.0
     print(f"perf-smoke: ok ({compared} series within {tol}x, "
-          f"dense_row_hits={hits}, compiled payoff {ratio:.2f}x, "
+          f"brzozowski_calls={brz}, compiled payoff {ratio:.2f}x, "
           f"latency p50/p99 {lat.get('p50', 0)}/{lat.get('p99', 0)}us "
           f"over {lat.get('count', 0)} queries, session warm speedup "
           f"{speedup:.1f}x on {cur_session.get('cache_hits', 0)} cache hits)")

@@ -37,10 +37,6 @@
 /// Full arena audit on a checkSat exit path.
 #define SBD_AUDIT_CHECKSAT_EXIT(M, T)                                          \
   (::sbd::audit::hookCheckSatExit((M), (T)))
-/// Validates a dense successor row against the uncompressed δdnf before the
-/// solver replays it (arguments unevaluated in the default build).
-#define SBD_AUDIT_DENSE_ROW(T, Dnf, Row, NodeId)                               \
-  (::sbd::audit::hookDenseRow((T), (Dnf), (Row), (NodeId)))
 
 #else
 
@@ -48,7 +44,6 @@
 #define SBD_AUDIT_TR_NODE(T, X) ((void)0)
 #define SBD_AUDIT_DNF(T, X) ((void)0)
 #define SBD_AUDIT_CHECKSAT_EXIT(M, T) ((void)0)
-#define SBD_AUDIT_DENSE_ROW(T, Dnf, Row, NodeId) ((void)0)
 
 #endif // SBD_AUDIT
 

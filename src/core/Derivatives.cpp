@@ -183,6 +183,8 @@ bool DerivativeEngine::matches(Re R, const std::vector<uint32_t> &Word) {
   for (uint32_t Ch : Word) {
     if (Cur == M.empty())
       return false; // short-circuit a dead end
+    if (Ch > MaxCodePoint)
+      return false; // outside the alphabet: in no language (untrusted words)
     Cur = brzozowski(Cur, Ch);
   }
   return M.nullable(Cur);

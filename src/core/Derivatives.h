@@ -53,6 +53,7 @@ public:
   Re derivativeOfWord(Re R, const std::vector<uint32_t> &Word);
 
   /// ϵ-membership after consuming \p Word: the classical derivative matcher.
+  /// A word holding a value above MaxCodePoint is in no language.
   bool matches(Re R, const std::vector<uint32_t> &Word);
 
   /// Convenience: match an ASCII/UTF-8 string.

@@ -36,11 +36,11 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
   }
   Out.ParseOk = true;
   Out.Result = W.P.checkSat(Parsed.Value, Q.Opts);
-  // Sat witnesses are re-validated through the worker's matcher pool (the
-  // compiled serving path once a regex is hot). This is a pure guard:
-  // verdicts and witnesses are unchanged on the (only observed) passing
-  // path, and a divergence is downgraded to Unknown rather than shipping
-  // an invalid witness.
+  // Sat witnesses are revalidated through the classical Brzozowski matcher,
+  // which shares no δdnf or automaton state with the search. This is a pure
+  // guard: verdicts and witnesses are unchanged on the (only observed)
+  // passing path, and a divergence is downgraded to Unknown rather than
+  // shipping an invalid witness.
   if (Out.Result.isSat()) {
 #if SBD_OBS
     const obs::MetricShard ScanBefore = obs::tlsShard();
@@ -54,7 +54,7 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
 #endif
     if (!Valid) {
       Out.Result.Status = SolveStatus::Unknown;
-      Out.Result.Note = "witness failed compiled-matcher validation";
+      Out.Result.Note = "witness failed classical-matcher revalidation";
     }
   }
   Out.Result.Stats.ParseUs = ParseUs;

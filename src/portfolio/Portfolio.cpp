@@ -10,8 +10,8 @@ using namespace sbd::portfolio;
 // Routing thresholds (DESIGN.md §14). Antimirov's partial-derivative BFS
 // wins on small positive iteration-only patterns — at most ♯(R)+1 NFA
 // states, no DNF transformation — but its per-query closure rebuild loses
-// to the derivative engine's cross-query dense-row cache as patterns grow,
-// so the gate is deliberately tight (tuned on bench_smt_corpus).
+// to the derivative engine's memoized δdnf as patterns grow, so the gate
+// is deliberately tight (tuned on bench_smt_corpus).
 namespace {
 constexpr uint32_t AntimirovMaxDag = 48;
 constexpr uint32_t AntimirovMaxPreds = 16;
@@ -41,8 +41,8 @@ RouteDecision portfolio::planRoute(const analysis::RegexFeatures &F,
     D.Reason = "small_positive_iteration";
     return D;
   }
-  // Literal/Sparse queries are near-free on the derivative engine (and
-  // benefit from its dense-row replay); Boolean/counter-heavy ones are
+  // Literal/Sparse queries are near-free on the derivative engine;
+  // Boolean/counter-heavy ones are
   // outside the baselines' efficient fragment. BrzMinterm and the eager
   // DFA constructions are dominated on every class (see DESIGN.md §14) and
   // are never auto-selected.

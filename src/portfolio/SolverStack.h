@@ -18,10 +18,11 @@
 ///
 /// `solveOnStack` is the one query execution path all of them share: parse
 /// on the stack's arena, route through the analyzer-driven portfolio, and
-/// revalidate Sat witnesses through the stack's matcher pool. Keeping it
-/// single-sourced is what makes "1-process and N-process runs produce
-/// byte-identical verdict streams" (DESIGN.md §16) a structural property
-/// rather than a test-enforced accident.
+/// revalidate Sat witnesses through the classical Brzozowski matcher
+/// (RegexSolver::matchesWord). Keeping it single-sourced is what makes
+/// "1-process and N-process runs produce byte-identical verdict streams"
+/// (DESIGN.md §16) a structural property rather than a test-enforced
+/// accident.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +59,9 @@ struct SolverStack {
 };
 
 /// Solves one query on the given stack. Sat witnesses are revalidated
-/// through the stack's matcher pool; a failed revalidation is downgraded to
-/// Unknown rather than shipping an invalid witness.
+/// through the classical Brzozowski matcher (RegexSolver::matchesWord); a
+/// failed revalidation is downgraded to Unknown rather than shipping an
+/// invalid witness.
 // The bool is ignored; it is kept so existing callers (perfbench) compile.
 BatchResult solveOnStack(SolverStack &W, const BatchQuery &Q, bool);
 

@@ -227,7 +227,6 @@ public:
     Out += "\n :minterm-time-us " + std::to_string(St.MintermUs);
     Out += "\n :derive-time-us " + std::to_string(St.DeriveUs);
     Out += "\n :dnf-time-us " + std::to_string(St.DnfUs);
-    Out += "\n :cache-probe-time-us " + std::to_string(St.CacheProbeUs);
     Out += "\n :scan-time-us " + std::to_string(St.ScanUs);
     Out += "\n :search-time-us " + std::to_string(St.SearchUs);
     Out += "\n :solve-time-us " + std::to_string(St.TotalUs);
@@ -705,9 +704,9 @@ private:
       }
       if (!R.isSat())
         return false;
-      // Route the witness back through the solver's promoted matcher pool
-      // (compiled table once the regex is hot): an independent end-to-end
-      // membership check of every literal before the model is emitted.
+      // Revalidate the witness through the classical Brzozowski matcher
+      // (RegexSolver::matchesWord): an independent end-to-end membership
+      // check of every literal before the model is emitted.
       for (const MembershipLiteral &L : Literals)
         if (Solver.matchesWord(L.Regex, R.Witness) != L.Positive) {
           SawUnknown = true; // soundness guard: never emit a bad model

@@ -63,26 +63,6 @@ public:
   /// marks it closed. No effect if R is already closed.
   void close(Re R, const std::vector<Re> &Targets);
 
-  /// close() plus the dense successor row: records, alongside the edges,
-  /// the flattened (witness char, target Re.Id) arc pairs of the vertex's
-  /// δdnf expansion. A later query that dequeues the same vertex replays
-  /// the row (see arcRow) instead of recomputing δdnf/arcs/witnesses —
-  /// the minterm-compressed fast path of the exploration loop. The row is
-  /// recorded even when the vertex was already closed edge-wise (e.g. via
-  /// caseSplit, which does not produce witnesses); it is never overwritten.
-  /// \p Chars must parallel \p Targets (one satisfying character per arc).
-  void closeWithRow(Re R, const std::vector<Re> &Targets,
-                    const std::vector<uint32_t> &Chars);
-
-  /// The recorded dense successor row of \p R as flattened (char, Re.Id)
-  /// pairs, or nullptr when the vertex is absent or was closed without a
-  /// row. Arc order is the order of the recording expansion.
-  const std::vector<uint32_t> *arcRow(Re R) const;
-
-  /// Test backdoor: overwrite one element of a recorded row, to prove the
-  /// SBD_AUDIT row checker detects corruption. No-op when out of range.
-  void corruptArcRowForTest(Re R, size_t Idx, uint32_t Value);
-
   /// Is the vertex closed (fully expanded)?
   bool isClosed(Re R) const;
   /// ν(R) — final vertex?
@@ -99,7 +79,7 @@ public:
   size_t numEdges() const { return NumEdges; }
   DeadDetection mode() const { return Mode; }
 
-  /// Drops every vertex, edge, row, and SCC record, returning the graph to
+  /// Drops every vertex, edge, and SCC record, returning the graph to
   /// its freshly constructed state (same manager, same mode). Deterministic
   /// re-entry point for the differential oracle: solving the same regex
   /// after clear() explores exactly the states a fresh solver would.
@@ -112,11 +92,8 @@ private:
     bool Closed = false;
     bool Alive = false;
     bool DeadLazy = false;
-    bool HasRow = false;
     std::vector<uint32_t> Succ;
     std::vector<uint32_t> Pred;
-    /// Flattened (witness char, target Re.Id) pairs (see closeWithRow).
-    std::vector<uint32_t> ArcRow;
   };
 
   void markAlive(uint32_t V);

@@ -110,14 +110,12 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
     St.MintermUs = static_cast<int64_t>(Diff.get(obs::Counter::MintermTimeUs));
     St.DeriveUs = static_cast<int64_t>(Diff.get(obs::Counter::DeriveTimeUs));
     St.DnfUs = static_cast<int64_t>(Diff.get(obs::Counter::DnfTimeUs));
-    St.CacheProbeUs =
-        static_cast<int64_t>(Diff.get(obs::Counter::CacheProbeTimeUs));
     St.ScanUs = static_cast<int64_t>(Diff.get(obs::Counter::ScanTimeUs));
     St.AnalysisNodesVisited = Diff.get(obs::Counter::AnalysisNodesVisited);
     St.AnalysisCacheHits = Diff.get(obs::Counter::AnalysisCacheHits);
     // MintermUs is informational only: computeMinterms runs *inside* the
     // derive/DNF regions, so it is excluded from the residual.
-    int64_t Attributed = St.DeriveUs + St.DnfUs + St.CacheProbeUs;
+    int64_t Attributed = St.DeriveUs + St.DnfUs;
     St.SearchUs = St.TotalUs > Attributed ? St.TotalUs - Attributed : 0;
     // Fold this query's contribution into the process-wide registry under
     // the unified counter names.
@@ -258,36 +256,6 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
       Queue.pop_front();
     uint32_t Depth = Visited.at(Cur.Id).Depth;
 
-    // Replay fast path: an earlier query already expanded Cur and recorded
-    // its dense successor row (witness char, target Re.Id pairs). Replaying
-    // the row skips δdnf construction, arc extraction, sorting, and guard
-    // sampling entirely. Soundness: Q(δdnf) is deterministic per regex, the
-    // row stores every arc (no determinization — lazy alternation is
-    // preserved), and witnesses stay valid because guards are interned.
-    if (const std::vector<uint32_t> *Row = Graph.arcRow(Cur)) {
-      SBD_OBS_INC(DenseRowHits);
-#if SBD_OBS
-      Stopwatch ProbeTimer;
-#endif
-      SBD_AUDIT_DENSE_ROW(T, Engine.derivativeDnf(Cur), *Row, Cur.Id);
-      for (size_t I = 0; I < Row->size(); I += 2) {
-        uint32_t Ch = (*Row)[I];
-        Re Next{(*Row)[I + 1]};
-        if (Visited.count(Next.Id))
-          continue;
-        Visited.emplace(Next.Id, Reached{Cur, Ch, Depth + 1});
-        if (M.nullable(Next)) {
-          SBD_OBS_ADD(CacheProbeTimeUs, ProbeTimer.elapsedUs());
-          return finishSat(Next);
-        }
-        if (Graph.isDead(Next))
-          continue; // bot rule
-        Queue.push_back(Next);
-      }
-      SBD_OBS_ADD(CacheProbeTimeUs, ProbeTimer.elapsedUs());
-      continue;
-    }
-
     // der rule, |s| > 0 case: unfold δdnf(Cur) and upd the graph.
     Tr Dnf = Engine.derivativeDnf(Cur);
     std::vector<TrArc> Arcs = T.arcs(Dnf);
@@ -309,30 +277,11 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
                          return Dfs ? SA > SB : SA < SB;
                        });
     }
-    // Record the dense row only on a *re*-expansion (the vertex was already
-    // closed by an earlier query or caseSplit): a vertex seen twice is
-    // likely to be seen again, and one-shot queries pay no per-vertex row
-    // allocation.
-    bool RecordRow = Graph.isClosed(Cur);
     std::vector<Re> Targets;
-    std::vector<uint32_t> Chars;
     Targets.reserve(Arcs.size());
-    if (RecordRow)
-      Chars.reserve(Arcs.size());
-    for (const TrArc &A : Arcs) {
+    for (const TrArc &A : Arcs)
       Targets.push_back(A.Target);
-      if (RecordRow) {
-        // Witnesses for the whole row (not just unvisited arcs) so later
-        // queries can replay it verbatim.
-        auto Ch = A.Guard.sample();
-        assert(Ch && "arcs must carry satisfiable guards");
-        Chars.push_back(*Ch);
-      }
-    }
-    if (RecordRow)
-      Graph.closeWithRow(Cur, Targets, Chars);
-    else
-      Graph.close(Cur, Targets);
+    Graph.close(Cur, Targets);
 
     for (size_t I = 0; I != Targets.size(); ++I) {
       Re Next = Targets[I];
@@ -340,15 +289,9 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
         continue;
       // ite rule: the branch guard must be satisfiable — arcs() guarantees
       // it; pick a concrete representative for the witness.
-      uint32_t Ch;
-      if (RecordRow) {
-        Ch = Chars[I];
-      } else {
-        auto Sampled = Arcs[I].Guard.sample();
-        assert(Sampled && "arcs must carry satisfiable guards");
-        Ch = *Sampled;
-      }
-      Visited.emplace(Next.Id, Reached{Cur, Ch, Depth + 1});
+      auto Ch = Arcs[I].Guard.sample();
+      assert(Ch && "arcs must carry satisfiable guards");
+      Visited.emplace(Next.Id, Reached{Cur, *Ch, Depth + 1});
       // ere rule: in(s_{k+1}.., Next); ε sub-case checked on dequeue.
       if (M.nullable(Next))
         return finishSat(Next);
@@ -418,18 +361,10 @@ Re RegexSolver::positionConstraint(const std::vector<CharSet> &Positions) {
 }
 
 bool RegexSolver::matchesWord(Re R, const std::vector<uint32_t> &Word) {
-  for (PooledMatcher &P : MatcherPool)
-    if (P.ReId == R.Id)
-      return P.Matcher->matches(Word);
-  if (MatcherPool.size() == MaxPooledMatchers)
-    MatcherPool.clear(); // wholesale flush: matchers rebuild lazily
-  CachedMatcher::Options MO;
-  // Validation words are short, so the promotion clock is set low — a
-  // regex validated a handful of times earns the compiled table — and the
-  // closure cap tight, so pathological patterns stay on the lazy path.
-  MO.PromoteAfterChars = 512;
-  MO.CompileMaxStates = 512;
-  MatcherPool.push_back(
-      {R.Id, std::make_unique<CachedMatcher>(Engine, R, MO)});
-  return MatcherPool.back().Matcher->matches(Word);
+#if SBD_OBS
+  Stopwatch ScanTimer;
+#endif
+  bool Ok = Engine.matches(R, Word);
+  SBD_OBS_ADD(ScanTimeUs, ScanTimer.elapsedUs());
+  return Ok;
 }

@@ -23,12 +23,9 @@
 #define SBD_SOLVER_REGEXSOLVER_H
 
 #include "analysis/RegexAnalyzer.h"
-#include "core/CachedMatcher.h"
 #include "core/Derivatives.h"
 #include "solver/DerivativeGraph.h"
 #include "solver/SolverResult.h"
-
-#include <memory>
 
 namespace sbd {
 
@@ -85,13 +82,11 @@ public:
   /// paper's side-constraint case splits.
   Re positionConstraint(const std::vector<CharSet> &Positions);
 
-  /// Concrete membership of \p Word in L(R), served from a per-regex
-  /// matcher pool. Each distinct regex gets one promotion-enabled
-  /// CachedMatcher, so regexes validated repeatedly (witness checks from
-  /// the SMT front end and the batch workers) are promoted onto the
-  /// compiled state-major table and later checks run the SIMD scan loop
-  /// instead of re-deriving. The pool is bounded; overflow flushes it
-  /// wholesale (matchers rebuild lazily, results never change).
+  /// Concrete membership of \p Word in L(R) by the classical Brzozowski
+  /// matcher D_w(R) (DerivativeEngine::matches), which shares no δdnf or
+  /// automaton state with the search that produced the witness. The one
+  /// place witnesses are revalidated: solveOnStack, verdict-cache hits, and
+  /// the SMT model check all call it. Its time counts as ScanTimeUs.
   bool matchesWord(Re R, const std::vector<uint32_t> &Word);
 
   /// The persistent graph (shared across queries; exposes Dead/Alive).
@@ -124,15 +119,6 @@ private:
   TrManager &T;
   DerivativeGraph Graph;
   analysis::RegexAnalyzer Analyzer{M};
-
-  /// matchesWord()'s per-regex matcher pool. Linear scan: the pool is tiny
-  /// and the hit path is one id compare per entry.
-  struct PooledMatcher {
-    uint32_t ReId;
-    std::unique_ptr<CachedMatcher> Matcher;
-  };
-  static constexpr size_t MaxPooledMatchers = 32;
-  std::vector<PooledMatcher> MatcherPool;
 };
 
 } // namespace sbd

@@ -146,8 +146,8 @@ struct SolveStats {
                                     ///< overlap DeriveUs/DnfUs regions
   int64_t DeriveUs = 0;             ///< time inside δ computation
   int64_t DnfUs = 0;                ///< time inside the DNF transformation
-  int64_t CacheProbeUs = 0;         ///< dense-row replay (cache probe) time
-  int64_t ScanUs = 0;               ///< lazy/compiled DFA scan time
+  int64_t CacheProbeUs = 0;         ///< always 0; kept for perfbench
+  int64_t ScanUs = 0;               ///< witness revalidation (ScanTimeUs)
   int64_t SearchUs = 0;             ///< search-loop time minus the above
   int64_t TotalUs = 0;              ///< wall-clock for the whole query
   /// Engine attribution for per-engine phase tables.
@@ -218,7 +218,7 @@ struct SolveStats {
         "\"solver_steps\": %llu, \"timeout_checks\": %llu, "
         "\"parse_us\": %lld, \"minterm_us\": %lld, "
         "\"derive_us\": %lld, \"dnf_us\": %lld, "
-        "\"cache_probe_us\": %lld, \"scan_us\": %lld, "
+        "\"scan_us\": %lld, "
         "\"search_us\": %lld, \"total_us\": %lld, "
         "\"predicted_class\": \"%s\", \"risk_score\": %u, "
         "\"predicted_states\": %llu, \"analysis_us\": %lld, "
@@ -242,7 +242,7 @@ struct SolveStats {
         static_cast<unsigned long long>(TimeoutChecks),
         static_cast<long long>(ParseUs), static_cast<long long>(MintermUs),
         static_cast<long long>(DeriveUs), static_cast<long long>(DnfUs),
-        static_cast<long long>(CacheProbeUs), static_cast<long long>(ScanUs),
+        static_cast<long long>(ScanUs),
         static_cast<long long>(SearchUs), static_cast<long long>(TotalUs),
         PredictedClass, RiskScore,
         static_cast<unsigned long long>(PredictedStates),

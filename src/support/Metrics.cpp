@@ -32,8 +32,6 @@ const char *sbd::obs::counterName(Counter C) {
     return "dfa_states_built";
   case Counter::DfaEvictions:
     return "dfa_evictions";
-  case Counter::DenseRowHits:
-    return "dense_row_hits";
   case Counter::CompiledPromotions:
     return "compiled_promotions";
   case Counter::CompiledCharsScanned:
@@ -114,8 +112,6 @@ const char *sbd::obs::counterName(Counter C) {
     return "derive_time_us";
   case Counter::DnfTimeUs:
     return "dnf_time_us";
-  case Counter::CacheProbeTimeUs:
-    return "cache_probe_time_us";
   case Counter::ScanTimeUs:
     return "scan_time_us";
   case Counter::SearchTimeUs:

@@ -72,11 +72,10 @@ enum class Counter : uint32_t {
   MintermComputations, ///< computeMinterms() calls
   MintermsProduced,    ///< total minterms returned by those calls
   // Alphabet compression + lazy-DFA layer (charset/AlphabetCompressor.h,
-  // core/CachedMatcher.h, solver dense rows).
+  // core/CachedMatcher.h).
   AlphabetMinterms,    ///< minterm classes assigned by AlphabetCompressor
   DfaStatesBuilt,      ///< lazy-DFA states expanded (dense rows filled)
   DfaEvictions,        ///< lazy-DFA states evicted by the bounded cache
-  DenseRowHits,        ///< vertex expansions served from a cached dense row
   // Compiled serving path (compile/CompiledDfa.h, CachedMatcher promotion).
   CompiledPromotions,     ///< hot matchers swapped onto a compiled table
   CompiledCharsScanned,   ///< characters scanned by the compiled kernel
@@ -130,7 +129,6 @@ enum class Counter : uint32_t {
   MintermTimeUs,
   DeriveTimeUs,
   DnfTimeUs,
-  CacheProbeTimeUs,
   ScanTimeUs,
   SearchTimeUs,
   SolveTimeUs,

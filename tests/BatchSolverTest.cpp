@@ -14,6 +14,7 @@
 #include "portfolio/BatchSolver.h"
 
 #include "core/Derivatives.h"
+#include "portfolio/SolverStack.h"
 #include "re/RegexParser.h"
 #include "solver/RegexSolver.h"
 
@@ -239,6 +240,28 @@ TEST(BatchSolverTest, PerQueryStatsArePopulated) {
     EXPECT_GE(R.Result.Stats.ParseUs, 0);
     EXPECT_GE(R.Result.Stats.TotalUs, 0);
   }
+}
+
+TEST(BatchSolverTest, RevalidationBuildsNoMatcherState) {
+  // Sat witnesses are revalidated by the classical Brzozowski matcher, not
+  // by an alphabet-compressed lazy DFA: the check must tick D_a(R) calls
+  // and build no matcher state at all.
+  const obs::MetricShard Before = obs::tlsShard();
+  for (const char *Pattern :
+       {"(.*\\d.*)&(.*[a-z].*)&.{4,12}",
+        "\\d{4}-[a-zA-Z]{3}-\\d{2}&(2019.*|2020.*)",
+        "(a|b){3}&~(.*aa.*)&~(.*bb.*)"}) {
+    portfolio::SolverStack W;
+    BatchResult R =
+        portfolio::solveOnStack(W, {Pattern, SolveOptions{}}, false);
+    ASSERT_TRUE(R.Result.isSat()) << Pattern << ": " << R.Result.Note;
+    ASSERT_FALSE(R.Result.Witness.empty()) << Pattern;
+  }
+  const obs::MetricShard Diff = obs::tlsShard().since(Before);
+  EXPECT_GT(Diff.get(obs::Counter::BrzozowskiCalls), 0u);
+  EXPECT_EQ(Diff.get(obs::Counter::DfaStatesBuilt), 0u);
+  EXPECT_EQ(Diff.get(obs::Counter::AlphabetMinterms), 0u);
+  EXPECT_EQ(Diff.get(obs::Counter::CompiledPromotions), 0u);
 }
 #endif // SBD_OBS
 

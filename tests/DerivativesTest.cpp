@@ -162,6 +162,13 @@ TEST_F(DerivTest, UnicodeMatching) {
   EXPECT_TRUE(E.matches(Astral, std::string("\xF0\x9F\x98\x80")));
 }
 
+TEST_F(DerivTest, MatcherRejectsValuesOutsideTheAlphabet) {
+  // Revalidated witnesses may come from an untrusted cache.
+  EXPECT_TRUE(E.matches(M.top(), std::vector<uint32_t>{'a', MaxCodePoint}));
+  EXPECT_FALSE(E.matches(M.top(), std::vector<uint32_t>{MaxCodePoint + 1}));
+  EXPECT_FALSE(E.matches(re("~(a)"), std::vector<uint32_t>{'a', 0xFFFFFFFFu}));
+}
+
 /// --- Theorem 4.3 property: L(δ(R)(a)) = L(D_a(R)) ------------------------
 
 Re randomRegex(RegexManager &M, Rng &R, int Depth) {

@@ -157,7 +157,6 @@ int main(int Argc, char **Argv) {
       std::cerr << "  phases " << P.Name << ": queries=" << P.Queries
                 << " derive_us=" << P.Stats.DeriveUs
                 << " dnf_us=" << P.Stats.DnfUs
-                << " cache_probe_us=" << P.Stats.CacheProbeUs
                 << " search_us=" << P.Stats.SearchUs
                 << " total_us=" << P.Stats.TotalUs << "\n";
     for (size_t I = 0; I != Rep.Discrepancies.size(); ++I) {
