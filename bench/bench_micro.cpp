@@ -10,7 +10,6 @@
 
 #include "automata/Sbfa.h"
 #include "charset/Bdd.h"
-#include "compile/CompiledDfa.h"
 #include "core/CachedMatcher.h"
 #include "baselines/AntimirovSolver.h"
 #include "baselines/BrzozowskiMintermSolver.h"
@@ -262,9 +261,7 @@ BENCHMARK(BM_BddOpsVsIntervals);
 
 void BM_CachedMatcherThroughput(benchmark::State &State) {
   // Repeated matching through the SRM-style cached transition table vs the
-  // uncached derivative matcher (BM_MatcherLongInput). Promotion is pinned
-  // off so this stays a measurement of the lazy per-character walk; the
-  // compiled serving path is BM_CompiledMatcherThroughput.
+  // uncached derivative matcher (BM_MatcherLongInput).
   RegexManager M;
   TrManager T(M);
   DerivativeEngine E(M, T);
@@ -273,9 +270,7 @@ void BM_CachedMatcherThroughput(benchmark::State &State) {
   // built inside the matcher constructor, and the exported counters must
   // cover them.
   obs::MetricShard Before = obs::MetricsRegistry::global().snapshot();
-  CachedMatcher::Options MO;
-  MO.PromoteAfterChars = 0;
-  CachedMatcher Matcher(E, R, MO);
+  CachedMatcher Matcher(E, R);
   std::string Input;
   for (int I = 0; I != static_cast<int>(State.range(0)); ++I)
     Input.push_back("abx7"[I % 4]);
@@ -294,65 +289,6 @@ void BM_CachedMatcherThroughput(benchmark::State &State) {
       static_cast<double>(D.get(obs::Counter::AlphabetMinterms));
 }
 BENCHMARK(BM_CachedMatcherThroughput)->Arg(64)->Arg(1024);
-
-void BM_CompiledMatcherThroughput(benchmark::State &State) {
-  // The frozen serving path: same pattern and input as
-  // BM_CachedMatcherThroughput, scanned through the state-major packed
-  // table (DESIGN.md §12). The ratio against the cached series is the
-  // promotion payoff and is gated at >= 3x by scripts/perf_smoke.py.
-  RegexManager M;
-  TrManager T(M);
-  DerivativeEngine E(M, T);
-  Re R = parseRegexOrDie(M, ".*(ab|ba){2}.*\\d.*");
-  // Snapshot before compile() so alphabet_minterms covers the compressor
-  // construction inside it.
-  obs::MetricShard Before = obs::MetricsRegistry::global().snapshot();
-  std::optional<CompiledDfa> D = CompiledDfa::compile(E, R);
-  if (!D) {
-    State.SkipWithError("compile declined");
-    return;
-  }
-  std::string Input;
-  for (int I = 0; I != static_cast<int>(State.range(0)); ++I)
-    Input.push_back("abx7"[I % 4]);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(D->matches(Input));
-  obs::MetricShard Sh = obs::MetricsRegistry::global().snapshot().since(Before);
-  State.counters["states"] = static_cast<double>(D->numStates());
-  State.counters["classes"] = static_cast<double>(D->numClasses());
-  State.counters["table_bytes"] = static_cast<double>(D->tableBytes());
-  State.counters["alphabet_minterms"] =
-      static_cast<double>(Sh.get(obs::Counter::AlphabetMinterms));
-  State.counters["compiled_chars_scanned"] =
-      static_cast<double>(Sh.get(obs::Counter::CompiledCharsScanned));
-  State.counters["compiled_prefilter_skips"] =
-      static_cast<double>(Sh.get(obs::Counter::CompiledPrefilterSkips));
-}
-BENCHMARK(BM_CompiledMatcherThroughput)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_CompiledLiteralScan(benchmark::State &State) {
-  // Literal-heavy long-input workload: the start state self-loops on
-  // everything except 'f', so nearly the whole haystack is skimmed by the
-  // memchr-style prefilter instead of walked state by state.
-  RegexManager M;
-  TrManager T(M);
-  DerivativeEngine E(M, T);
-  Re R = parseRegexOrDie(M, ".*fatal\\d.*");
-  std::optional<CompiledDfa> D = CompiledDfa::compile(E, R);
-  if (!D) {
-    State.SkipWithError("compile declined");
-    return;
-  }
-  const char *Line = "log: subsystem nominal; watchdog happy; ";
-  std::string Input;
-  while (Input.size() < static_cast<size_t>(State.range(0)))
-    Input += Line;
-  Input += "fatal7";
-  for (auto _ : State)
-    benchmark::DoNotOptimize(D->matches(Input));
-  State.counters["bytes"] = static_cast<double>(Input.size());
-}
-BENCHMARK(BM_CompiledLiteralScan)->Arg(16384)->Arg(65536);
 
 void BM_GraphDeadStateReuse(benchmark::State &State) {
   // Measures the payoff of the persistent graph: re-proving emptiness of a

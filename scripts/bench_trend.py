@@ -12,7 +12,7 @@ one-baseline regression guard:
   scripts/bench_trend.py --dir <root>       scan a different snapshot dir
 
 Reported per snapshot: every micro series (ns), the per-group corpus times
-(ms), the compiled-promotion payoff, the recorded counters, and — for
+(ms), the recorded counters, and — for
 snapshots taken after the profiling layer landed — the corpus solve-latency
 percentiles. The final column is latest/first, so a series that drifted
 slowly enough to stay inside perf_smoke's per-PR tolerance still shows its
@@ -114,9 +114,6 @@ def main(argv=None):
 
     lines = [f"## Perf trend across {len(snaps)} snapshots "
              f"({', '.join(labels)})", ""]
-    payoff = [("compiled_payoff_1024",
-               [doc.get("compiled_payoff_1024") for _, doc in snaps])]
-    lines += series_table("Compiled promotion payoff", "x", labels, payoff)
     lines += series_table("Corpus groups, direct path", "ms", labels,
                           collect("corpus_direct_ms", snaps))
     lines += series_table("Corpus solve latency", "us / count", labels,
@@ -132,9 +129,6 @@ def main(argv=None):
     if args.json:
         doc = {
             "snapshots": labels,
-            "compiled_payoff_1024": dict(zip(
-                labels, [doc.get("compiled_payoff_1024")
-                         for _, doc in snaps])),
             "corpus_direct_ms": {n: dict(zip(labels, vs))
                                  for n, vs in collect("corpus_direct_ms",
                                                       snaps)},

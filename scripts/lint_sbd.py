@@ -15,9 +15,10 @@ Three rules, each encoding an invariant the type system cannot:
    node-based hash table is an easy way to lose the PR-1 speedups.
 
 3. obs-compiled-out: outside the observability layer itself, counter bumps
-   must use the SBD_OBS_INC/SBD_OBS_ADD/SBD_STATS_* macros (which compile
-   out under -DSBD_OBS=0), never raw obs::tlsShard() / MetricShard::add
-   calls that would survive in "observability off" builds.
+   must use the SBD_OBS_INC/SBD_OBS_ADD macros (registry counters) or
+   SBD_STATS_INC/SBD_STATS_ADD (CacheStats fields). All four are keyed on
+   SBD_OBS alone and compile out under -DSBD_OBS=0; raw obs::tlsShard() /
+   MetricShard::add calls would survive in "observability off" builds.
 
 4. engine-routing: the solver/SMT/policy layers must not instantiate the
    baseline engines (AntimirovSolver, BrzozowskiMintermSolver, EagerSolver)

@@ -7,10 +7,8 @@ Two modes:
       Condense one --quick run of bench_micro (--json) and bench_smt_corpus
       (--json) into the checked-in baseline snapshot (BENCH_PR6.json).
       Counters exported by the micro benchmarks (dfa_states_built,
-      alphabet_minterms, compiled table shape) are recorded alongside the
-      corpus counters so the snapshot reflects the measured run, and the
-      snapshot is refused when the compiled-vs-cached promotion payoff is
-      below the gate — a bad baseline would make the gate vacuous.
+      alphabet_minterms) are recorded alongside the corpus counters so the
+      snapshot reflects the measured run.
 
   perf_smoke.py compare <baseline.json> <micro.json> <corpus.json>
       Compare a fresh --quick run against the snapshot. A benchmark that got
@@ -50,9 +48,6 @@ Beyond the ratio checks, the guard asserts on every compare that
     the profiling layer (DESIGN.md section 13) really observed the run —
     counts are asserted rather than microsecond sums, which can floor to 0
     at --quick scale;
-  - the compiled serving path beats the lazy cached walk by >= GATE_RATIO
-    on the 1KiB throughput series (the promotion payoff the compiled
-    subsystem exists for);
   - the resident-session corpus replay (DESIGN.md section 15) served
     verdict-cache hits, its warm pass was no slower than the cold one, and
     every warm verdict matched its cold verdict (the wall-clock *speedup*
@@ -70,17 +65,11 @@ TOLERANCE = 2.5
 # at --quick scale; they are recorded but not compared.
 MIN_COMPARE_NS = 200.0
 
-# The promotion payoff gate: the frozen state-major table must beat the
-# lazy cached walk by this factor on the same pattern and input.
-GATE_RATIO = 3.0
-CACHED_SERIES = "BM_CachedMatcherThroughput/1024"
-COMPILED_SERIES = "BM_CompiledMatcherThroughput/1024"
-
 # User counters lifted from the micro report into the snapshot, keyed by
 # the benchmark that exports them.
 MICRO_COUNTERS = {
-    CACHED_SERIES: ("dfa_states_built", "alphabet_minterms"),
-    COMPILED_SERIES: ("states", "table_bytes", "compiled_chars_scanned"),
+    "BM_CachedMatcherThroughput/1024": ("dfa_states_built",
+                                        "alphabet_minterms"),
 }
 
 
@@ -111,19 +100,8 @@ def micro_counter_view(micro):
         _, counters = micro.get(series, (None, {}))
         for k in keys:
             if k in counters:
-                name = k if k.startswith(("dfa", "alphabet", "compiled")) \
-                    else "compiled_" + k
-                view[name] = counters[k]
+                view[k] = counters[k]
     return view
-
-
-def payoff_ratio(micro):
-    """cached/compiled time ratio on the 1KiB series, or None if absent."""
-    cached = micro.get(CACHED_SERIES)
-    compiled = micro.get(COMPILED_SERIES)
-    if cached is None or compiled is None or compiled[0] <= 0:
-        return None
-    return cached[0] / compiled[0]
 
 
 # Histograms the corpus run must have populated (asserted by count, not by
@@ -143,12 +121,6 @@ def load_corpus(path):
 
 def snapshot(micro_path, corpus_path, out_path):
     micro = load_micro(micro_path)
-    ratio = payoff_ratio(micro)
-    if ratio is None or ratio < GATE_RATIO:
-        shown = "absent" if ratio is None else f"{ratio:.2f}x"
-        print(f"perf-smoke: refusing snapshot: compiled payoff {shown} "
-              f"< {GATE_RATIO}x on {COMPILED_SERIES}")
-        return 1
     groups, counters, histograms, session = load_corpus(corpus_path)
     if session.get("cache_hits", 0) <= 0:
         print("perf-smoke: refusing snapshot: the session replay recorded "
@@ -160,7 +132,6 @@ def snapshot(micro_path, corpus_path, out_path):
         "tolerance": TOLERANCE,
         "micro_ns": {name: ns for name, (ns, _) in micro.items()},
         "micro_counters": micro_counter_view(micro),
-        "compiled_payoff_1024": round(ratio, 2),
         "corpus_direct_ms": groups,
         "corpus_counters": {
             k: counters[k]
@@ -201,8 +172,7 @@ def snapshot(micro_path, corpus_path, out_path):
     with open(out_path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"perf-smoke: wrote snapshot {out_path} "
-          f"(compiled payoff {ratio:.2f}x)")
+    print(f"perf-smoke: wrote snapshot {out_path}")
     return 0
 
 
@@ -286,16 +256,6 @@ def compare(baseline_path, micro_path, corpus_path):
             f"  session warm pass slower than cold ({warm_ms:.1f}ms > "
             f"{cold_ms:.1f}ms): cache hits are not paying for themselves")
 
-    ratio = payoff_ratio(cur_micro)
-    if ratio is None:
-        failures.append(
-            f"  {COMPILED_SERIES} missing: the compiled serving path was not "
-            "measured")
-    elif ratio < GATE_RATIO:
-        failures.append(
-            f"  compiled payoff {ratio:.2f}x < {GATE_RATIO}x: "
-            f"{COMPILED_SERIES} must beat {CACHED_SERIES}")
-
     if failures:
         print("perf-smoke: REGRESSION vs " + baseline_path)
         print("\n".join(failures))
@@ -305,7 +265,7 @@ def compare(baseline_path, micro_path, corpus_path):
     lat = cur_hists.get("solve_latency_us", {})
     speedup = cold_ms / warm_ms if warm_ms > 0 else 0.0
     print(f"perf-smoke: ok ({compared} series within {tol}x, "
-          f"brzozowski_calls={brz}, compiled payoff {ratio:.2f}x, "
+          f"brzozowski_calls={brz}, "
           f"latency p50/p99 {lat.get('p50', 0)}/{lat.get('p99', 0)}us "
           f"over {lat.get('count', 0)} queries, session warm speedup "
           f"{speedup:.1f}x on {cur_session.get('cache_hits', 0)} cache hits)")

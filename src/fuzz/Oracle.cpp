@@ -51,10 +51,6 @@ const char *DifferentialOracle::engineName(size_t Id) {
     return "dfa_matcher";
   case EngTinyDfaMatcher:
     return "tiny_dfa_matcher";
-  case EngCompiledDfa:
-    return "compiled_dfa";
-  case EngCompiledTiny:
-    return "compiled_tiny_fallback";
   case EngSbfa:
     return "sbfa";
   case EngSafa:
@@ -172,14 +168,12 @@ void DifferentialOracle::checkSatVerdicts(std::vector<Discrepancy> &Out) {
                return Solver.checkSat(Cur, Bfs);
              }));
 
-  if (Opts.CheckDfsAgreement) {
-    SolveOptions Dfs = Bfs;
-    Dfs.Strategy = SearchStrategy::Dfs;
-    addVerdict(EngSolverDfs, timed(EngSolverDfs, [&] {
-                 Solver.resetGraph();
-                 return Solver.checkSat(Cur, Dfs);
-               }));
-  }
+  SolveOptions Dfs = Bfs;
+  Dfs.Strategy = SearchStrategy::Dfs;
+  addVerdict(EngSolverDfs, timed(EngSolverDfs, [&] {
+               Solver.resetGraph();
+               return Solver.checkSat(Cur, Dfs);
+             }));
 
   if (CurFeat.NumCompl == 0) {
     SolveOptions BOpts;
@@ -467,42 +461,21 @@ void DifferentialOracle::beginRegex(Re Rx, std::vector<Discrepancy> &Out) {
   CurFeat = Solver.analyzer().analyze(Rx);
   checkAnalyzerStability(Out);
 
-  // Promotion is pinned off for the two lazy engines: the compiled path is
-  // cross-checked through its own engines below, and these two must keep
-  // exercising the lazy step loop (and the tiny cap's eviction/fallback).
+  // The lazy DFA at a roomy cap, and at a tiny cap that forces eviction
+  // and the uncached fallback.
   CachedMatcher::Options Full;
   Full.MaxStates = Opts.MatcherMaxStates;
-  Full.PromoteAfterChars = 0;
   DfaMatcher = std::make_unique<CachedMatcher>(Eng, Cur, Full);
   CachedMatcher::Options Tiny;
   Tiny.MaxStates = Opts.TinyMatcherMaxStates;
-  Tiny.PromoteAfterChars = 0;
   TinyMatcher = std::make_unique<CachedMatcher>(Eng, Cur, Tiny);
-
-  CompiledD.reset();
-  TinyPromoted.reset();
-  if (Opts.UseCompiledDfa) {
-    CompiledDfaOptions CD;
-    CD.MaxStates = Opts.CompiledMaxStates;
-    CompiledD = timed(EngCompiledDfa,
-                      [&] { return CompiledDfa::compile(Eng, Cur, CD); });
-    // Forced-fallback configuration: promotion fires on the first word but
-    // the compile budget is hopeless, so the matcher must take the
-    // compiled_fallbacks path and keep serving lazily — cross-checked on
-    // every word like any other engine.
-    CachedMatcher::Options TP;
-    TP.MaxStates = Opts.MatcherMaxStates;
-    TP.PromoteAfterChars = 1;
-    TP.CompileMaxStates = Opts.TinyCompiledMaxStates;
-    TinyPromoted = std::make_unique<CachedMatcher>(Eng, Cur, TP);
-  }
 
   SbfaA = timed(EngSbfa, [&] {
     return Sbfa::build(Eng, Cur, Opts.SbfaMaxStates);
   });
 
   SafaA.reset();
-  if (Opts.UseSafa && SbfaA && SbfaA->numStates() <= 48) {
+  if (SbfaA && SbfaA->numStates() <= 48) {
     SafaA = timed(EngSafa, [&] {
       return std::optional<Safa>(Safa::fromSbfa(*SbfaA));
     });
@@ -510,15 +483,12 @@ void DifferentialOracle::beginRegex(Re Rx, std::vector<Discrepancy> &Out) {
       SafaA.reset();
   }
 
-  EagerD.reset();
-  if (Opts.UseEagerDfa) {
-    EagerSolver ES(M);
-    EagerD = timed(EngEagerDfa,
-                   [&] { return ES.compileDfa(Cur, Opts.EagerMaxStates); });
-  }
+  EagerSolver ES(M);
+  EagerD = timed(EngEagerDfa,
+                 [&] { return ES.compileDfa(Cur, Opts.EagerMaxStates); });
 
   AntiNfa.reset();
-  if (Opts.UseAntimirovNfa && CurFeat.NumCompl == 0)
+  if (CurFeat.NumCompl == 0)
     AntiNfa = timed(EngAntimirovNfa, [&] {
       return buildPartialDerivativeNfa(M, Cur, Opts.BaselineMaxStates);
     });
@@ -557,16 +527,6 @@ void DifferentialOracle::checkWord(const std::vector<uint32_t> &W,
                  timed(EngTinyDfaMatcher,
                        [&] { return TinyMatcher->matches(W); }),
                  Ref, Out);
-  if (CompiledD)
-    noteMembership(W, engineName(EngCompiledDfa),
-                   timed(EngCompiledDfa,
-                         [&] { return CompiledD->matches(W); }),
-                   Ref, Out);
-  if (TinyPromoted)
-    noteMembership(W, engineName(EngCompiledTiny),
-                   timed(EngCompiledTiny,
-                         [&] { return TinyPromoted->matches(W); }),
-                   Ref, Out);
   if (SbfaA)
     noteMembership(W, engineName(EngSbfa),
                    timed(EngSbfa, [&] { return SbfaA->accepts(W); }), Ref,

@@ -55,7 +55,6 @@
 #include "automata/Sbfa.h"
 #include "baselines/AntimirovSolver.h"
 #include "baselines/BrzozowskiMintermSolver.h"
-#include "compile/CompiledDfa.h"
 #include "core/CachedMatcher.h"
 #include "solver/RegexSolver.h"
 
@@ -125,17 +124,11 @@ struct EnginePhase {
   SolveStats Stats;
 };
 
-/// Engine caps and toggles. Every budget is a state/size count so oracle
-/// verdicts are reproducible bit-for-bit from a seed.
+/// Engine caps and the sat-verdict toggle. Every budget is a state/size
+/// count so oracle verdicts are reproducible bit-for-bit from a seed.
 struct OracleOptions {
   size_t MatcherMaxStates = 512;
   size_t TinyMatcherMaxStates = 4; ///< forces eviction + fallback paths
-  size_t CompiledMaxStates = 256; ///< closure cap for the compiled table
-  /// Compile budget of the forced-fallback configuration: a promotion
-  /// clock of one character combined with this (deliberately hopeless)
-  /// closure cap makes every nontrivial pattern overflow the compile and
-  /// exercise the lazy fallback on each word.
-  size_t TinyCompiledMaxStates = 2;
   size_t SbfaMaxStates = 96;
   size_t SafaMaxTransitions = 160; ///< gate on the SBFA before conversion
   size_t EagerMaxStates = 384;
@@ -143,11 +136,6 @@ struct OracleOptions {
   size_t BaselineMaxStates = 1024;
   uint32_t BrzMaxPreds = 8; ///< skip global mintermization beyond this ♯(R)
   bool CheckSat = true;
-  bool CheckDfsAgreement = true;
-  bool UseSafa = true;
-  bool UseEagerDfa = true;
-  bool UseAntimirovNfa = true;
-  bool UseCompiledDfa = true;
 };
 
 /// The per-sample differential oracle. Create one per arena batch; call
@@ -207,8 +195,6 @@ private:
     EngRefMatcher,
     EngDfaMatcher,
     EngTinyDfaMatcher,
-    EngCompiledDfa,
-    EngCompiledTiny,
     EngSbfa,
     EngSafa,
     EngEagerDfa,
@@ -257,11 +243,6 @@ private:
   Re CurCompl{0};
   std::unique_ptr<CachedMatcher> DfaMatcher;
   std::unique_ptr<CachedMatcher> TinyMatcher;
-  /// Direct compile of the pattern (skipped when over CompiledMaxStates).
-  std::optional<CompiledDfa> CompiledD;
-  /// Promotion-enabled matcher whose compile budget is hopeless — the
-  /// forced-fallback configuration (TinyCompiledMaxStates).
-  std::unique_ptr<CachedMatcher> TinyPromoted;
   std::optional<Sbfa> SbfaA;
   std::optional<Safa> SafaA;
   std::optional<Sdfa> EagerD;

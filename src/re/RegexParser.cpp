@@ -34,6 +34,7 @@ private:
   RegexManager &M;
   std::vector<uint32_t> In;
   size_t Pos = 0;
+  size_t Depth = 0; ///< open '(' groups and '~' prefixes around Pos
   bool Failed = false;
   std::string Err;
   size_t ErrPos = 0;
@@ -55,6 +56,16 @@ private:
       ErrPos = Pos;
     }
     return M.empty();
+  }
+
+  /// Opens one nesting level; false (after failing) past RegexMaxDepth.
+  bool enter() {
+    if (Depth == RegexMaxDepth) {
+      fail("nesting deeper than " + std::to_string(RegexMaxDepth));
+      return false;
+    }
+    ++Depth;
+    return true;
   }
 
   Re parseUnion() {
@@ -101,9 +112,13 @@ private:
   }
 
   Re parseUnary() {
-    if (consumeIf('~'))
-      return M.complement(parseUnary());
-    return parsePostfix();
+    if (!consumeIf('~'))
+      return parsePostfix();
+    if (!enter())
+      return M.empty();
+    Re R = M.complement(parseUnary());
+    --Depth;
+    return R;
   }
 
   Re parsePostfix() {
@@ -171,7 +186,10 @@ private:
     case '(': {
       if (consumeIf(')'))
         return M.epsilon(); // '()' denotes ε
+      if (!enter())
+        return M.empty();
       Re R = parseUnion();
+      --Depth;
       if (!consumeIf(')'))
         return fail("expected ')'");
       return R;

@@ -14,6 +14,8 @@
 ///
 /// Escapes: \d \D \w \W \s \S \t \n \r \f \v \0 \xHH \uHHHH \U{H+}, and
 /// backslash before any metacharacter. Input is interpreted as UTF-8.
+/// Nesting ('(' groups plus '~' prefixes) deeper than RegexMaxDepth is a
+/// parse error, so hostile input cannot overflow the recursive descent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +24,13 @@
 
 #include "re/Regex.h"
 
+#include <cstddef>
 #include <string>
 
 namespace sbd {
+
+/// Deepest nesting of '(' groups and '~' prefixes parseRegex accepts.
+inline constexpr size_t RegexMaxDepth = 1000;
 
 /// Outcome of a parse; on failure `Error` describes the problem and
 /// `ErrorPos` is the code-point offset where it was detected.

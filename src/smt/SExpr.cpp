@@ -28,6 +28,7 @@ public:
 private:
   const std::string &In;
   size_t Pos = 0;
+  size_t Depth = 0; ///< open lists around the current form
   bool Failed = false;
   std::string Err;
   size_t ErrPos = 0;
@@ -74,21 +75,14 @@ private:
     }
     char C = peek();
     if (C == '(') {
+      if (Depth == SExprMaxDepth) {
+        fail("nesting deeper than " + std::to_string(SExprMaxDepth));
+        return SExpr{};
+      }
       ++Pos;
-      SExpr L;
-      L.K = SExpr::Kind::List;
-      skipTrivia();
-      while (!atEnd() && peek() != ')') {
-        L.Kids.push_back(parseOne());
-        if (Failed)
-          return L;
-        skipTrivia();
-      }
-      if (atEnd()) {
-        fail("expected ')'");
-        return L;
-      }
-      ++Pos; // ')'
+      ++Depth;
+      SExpr L = parseListTail();
+      --Depth;
       return L;
     }
     if (C == ')') {
@@ -100,6 +94,25 @@ private:
     if (C == '|')
       return parseQuotedSymbol();
     return parseAtom();
+  }
+
+  /// The elements and closing ')' of a list whose '(' was consumed.
+  SExpr parseListTail() {
+    SExpr L;
+    L.K = SExpr::Kind::List;
+    skipTrivia();
+    while (!atEnd() && peek() != ')') {
+      L.Kids.push_back(parseOne());
+      if (Failed)
+        return L;
+      skipTrivia();
+    }
+    if (atEnd()) {
+      fail("expected ')'");
+      return L;
+    }
+    ++Pos; // ')'
+    return L;
   }
 
   SExpr parseString() {

@@ -3,18 +3,24 @@
 /// \file
 /// A small reader for the SMT-LIB2 surface syntax used by the string/regex
 /// benchmarks: symbols, numerals, string literals with `""` escaping, and
-/// parenthesized lists. Comments (`;` to end of line) are skipped.
+/// parenthesized lists. Comments (`;` to end of line) are skipped. Lists
+/// nested deeper than SExprMaxDepth are a parse error, so hostile input
+/// cannot overflow the recursive reader.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SBD_SMT_SEXPR_H
 #define SBD_SMT_SEXPR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace sbd {
+
+/// Deepest list nesting parseSExprs accepts.
+inline constexpr size_t SExprMaxDepth = 1000;
 
 /// One parsed s-expression node.
 struct SExpr {

@@ -203,19 +203,10 @@ public:
     Out += "\n :arena-nodes " + Ull(St.ArenaNodes);
     Out += "\n :peak-frontier " + Ull(St.PeakFrontier);
     Out += "\n :solver-steps " + Ull(St.SolverSteps);
-    // Compiled serving path and the cross-query verdict cache. These live
-    // in the process-wide registry (the compiled kernel and the shared
-    // cache never touch per-query stats), so they are cumulative across
-    // the solver's lifetime like the rest of this list.
+    // The cross-query verdict cache lives in the process-wide registry
+    // (the shared cache never touches per-query stats), so its counters are
+    // cumulative across the solver's lifetime like the rest of this list.
     obs::MetricShard Reg = obs::MetricsRegistry::global().snapshot();
-    Out += "\n :compiled-promotions " +
-           Ull(Reg.get(obs::Counter::CompiledPromotions));
-    Out += "\n :compiled-chars-scanned " +
-           Ull(Reg.get(obs::Counter::CompiledCharsScanned));
-    Out += "\n :compiled-prefilter-skips " +
-           Ull(Reg.get(obs::Counter::CompiledPrefilterSkips));
-    Out += "\n :compiled-fallbacks " +
-           Ull(Reg.get(obs::Counter::CompiledFallbacks));
     Out += "\n :verdict-cache-hits " +
            Ull(Reg.get(obs::Counter::VerdictCacheHits));
     Out += "\n :verdict-cache-misses " +
@@ -231,7 +222,7 @@ public:
     Out += "\n :search-time-us " + std::to_string(St.SearchUs);
     Out += "\n :solve-time-us " + std::to_string(St.TotalUs);
     // Latency distribution over every regex sub-query solved so far, from
-    // the process-wide histogram registry (cumulative, like the compiled
+    // the process-wide histogram registry (cumulative, like the verdict-cache
     // counters above; all-zero at -DSBD_OBS=0).
     obs::HistShard Hists = obs::HistogramRegistry::global().snapshot();
     const obs::HistShard::Data &Lat =

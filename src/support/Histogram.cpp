@@ -18,8 +18,6 @@ const char *sbd::obs::histName(Hist H) {
     return "dnf_expansion_arcs";
   case Hist::LazyScanUs:
     return "lazy_scan_us";
-  case Hist::CompiledScanUs:
-    return "compiled_scan_us";
   case Hist::DistRpcUs:
     return "dist_rpc_us";
   case Hist::DistQueueDepth:

@@ -42,7 +42,6 @@ enum class Hist : uint32_t {
   SolveArenaNodes,  ///< regex + TR nodes a query allocated
   DnfExpansionArcs, ///< arcs per δdnf expansion in the search loop
   LazyScanUs,       ///< CachedMatcher::matches on the lazy bounded path
-  CompiledScanUs,   ///< CachedMatcher::matches served from a compiled table
   DistRpcUs,        ///< coordinator-side request→response round trip
   DistQueueDepth,   ///< a worker's queued backlog, sampled at dispatch
 

@@ -32,14 +32,6 @@ const char *sbd::obs::counterName(Counter C) {
     return "dfa_states_built";
   case Counter::DfaEvictions:
     return "dfa_evictions";
-  case Counter::CompiledPromotions:
-    return "compiled_promotions";
-  case Counter::CompiledCharsScanned:
-    return "compiled_chars_scanned";
-  case Counter::CompiledPrefilterSkips:
-    return "compiled_prefilter_skips";
-  case Counter::CompiledFallbacks:
-    return "compiled_fallbacks";
   case Counter::SolverSteps:
     return "solver_steps";
   case Counter::TimeoutChecks:

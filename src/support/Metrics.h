@@ -22,9 +22,9 @@
 ///    (queries never migrate threads — the thread-local arena rule).
 ///  - Compile with `-DSBD_OBS=0` to strip every counter update and span;
 ///    the macros expand to nothing and the structs stay as zero-cost
-///    shells so call sites need no `#if` guards. `SBD_STATS` (the
-///    cache-counter switch predating this subsystem) defaults to
-///    `SBD_OBS` so one flag disables the whole layer.
+///    shells so call sites need no `#if` guards. The same switch strips
+///    the `CacheStats` bumps (`SBD_STATS_INC/ADD`), so one flag disables
+///    the whole layer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,11 +40,7 @@
 #define SBD_OBS 1
 #endif
 
-#ifndef SBD_STATS
-#define SBD_STATS SBD_OBS
-#endif
-
-#if SBD_STATS
+#if SBD_OBS
 #define SBD_STATS_INC(Stats, Field) ((Stats).Field += 1)
 #define SBD_STATS_ADD(Stats, Field, N) ((Stats).Field += (N))
 #else
@@ -76,11 +72,6 @@ enum class Counter : uint32_t {
   AlphabetMinterms,    ///< minterm classes assigned by AlphabetCompressor
   DfaStatesBuilt,      ///< lazy-DFA states expanded (dense rows filled)
   DfaEvictions,        ///< lazy-DFA states evicted by the bounded cache
-  // Compiled serving path (compile/CompiledDfa.h, CachedMatcher promotion).
-  CompiledPromotions,     ///< hot matchers swapped onto a compiled table
-  CompiledCharsScanned,   ///< characters scanned by the compiled kernel
-  CompiledPrefilterSkips, ///< characters skipped by the self-loop prefilter
-  CompiledFallbacks,      ///< promotion attempts that overflowed the budget
   // Solver search loop.
   SolverSteps,         ///< states dequeued by RegexSolver::checkSat
   TimeoutChecks,       ///< deadline clock reads in the search loop

@@ -171,7 +171,7 @@ TEST(BatchSolverTest, ParseFailuresAreLocalToTheirQuery) {
 TEST(BatchSolverTest, AggregatesCacheStats) {
   BatchSolver Batch;
   (void)Batch.solveAll(toQueries(mixedCorpus()));
-#if SBD_STATS
+#if SBD_OBS
   EXPECT_GT(Batch.stats().InternMisses, 0u);
   EXPECT_GT(Batch.stats().Lookups, 0u);
 #endif
@@ -261,7 +261,6 @@ TEST(BatchSolverTest, RevalidationBuildsNoMatcherState) {
   EXPECT_GT(Diff.get(obs::Counter::BrzozowskiCalls), 0u);
   EXPECT_EQ(Diff.get(obs::Counter::DfaStatesBuilt), 0u);
   EXPECT_EQ(Diff.get(obs::Counter::AlphabetMinterms), 0u);
-  EXPECT_EQ(Diff.get(obs::Counter::CompiledPromotions), 0u);
 }
 #endif // SBD_OBS
 

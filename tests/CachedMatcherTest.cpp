@@ -31,12 +31,26 @@ TEST_F(CachedMatcherTest, BasicAcceptance) {
 }
 
 TEST_F(CachedMatcherTest, ExtendedOperators) {
-  CachedMatcher Matcher(E, re("(.*\\d.*)&~(.*01.*)"));
+  Re R = re("(.*\\d.*)&~(.*01.*)");
+  CachedMatcher Matcher(E, R);
   EXPECT_TRUE(Matcher.matches(std::string("x7y")));
   EXPECT_FALSE(Matcher.matches(std::string("x01y")));
   EXPECT_FALSE(Matcher.matches(std::string("xyz")));
   EXPECT_TRUE(Matcher.matches(std::string("0")));
   EXPECT_TRUE(Matcher.matches(std::string("10")));
+
+  // Inputs longer than 4,096 characters, fed repeatedly through the same
+  // matcher so its rows stay warm across calls.
+  std::string Long;
+  while (Long.size() < 5000)
+    Long += "xy0z";
+  std::string Broken = Long.substr(0, 2500) + "01" + Long.substr(2500);
+  for (int Rep = 0; Rep != 3; ++Rep) {
+    EXPECT_EQ(Matcher.matches(Long), E.matches(R, Long));
+    EXPECT_TRUE(Matcher.matches(Long));
+    EXPECT_EQ(Matcher.matches(Broken), E.matches(R, Broken));
+    EXPECT_FALSE(Matcher.matches(Broken));
+  }
 }
 
 TEST_F(CachedMatcherTest, StatesAreSharedAcrossCalls) {
@@ -62,10 +76,27 @@ TEST_F(CachedMatcherTest, LazinessOnHugeRegex) {
 }
 
 TEST_F(CachedMatcherTest, UnicodeRanges) {
-  CachedMatcher Matcher(E, re("[\\u4E00-\\u9FFF]+x?"));
+  Re R = re("[\\u4E00-\\u9FFF]+x?");
+  CachedMatcher Matcher(E, R);
   EXPECT_TRUE(Matcher.matches(std::string("\xE4\xB8\xAD")));
   EXPECT_TRUE(Matcher.matches(std::string("\xE4\xB8\xADx")));
   EXPECT_FALSE(Matcher.matches(std::string("x")));
+
+  // Over 4,096 non-ASCII code points (three UTF-8 bytes each), matched
+  // repeatedly on one matcher.
+  std::string Long;
+  for (int I = 0; I != 5000; ++I)
+    Long += "\xE4\xB8\xAD";
+  std::string Tail = Long + "x";
+  std::string Broken = Long.substr(0, 3 * 2500) + "y" + Long.substr(3 * 2500);
+  for (int Rep = 0; Rep != 3; ++Rep) {
+    EXPECT_EQ(Matcher.matches(Long), E.matches(R, Long));
+    EXPECT_TRUE(Matcher.matches(Long));
+    EXPECT_EQ(Matcher.matches(Tail), E.matches(R, Tail));
+    EXPECT_TRUE(Matcher.matches(Tail));
+    EXPECT_EQ(Matcher.matches(Broken), E.matches(R, Broken));
+    EXPECT_FALSE(Matcher.matches(Broken));
+  }
 }
 
 TEST_F(CachedMatcherTest, BoundedCacheEvictsUnderPressure) {
