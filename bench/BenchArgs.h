@@ -18,10 +18,6 @@
 ///   --stats-json <file> write the merged counter registry, the histogram
 ///                      registry (p50/p90/p99), and the summed per-query
 ///                      SolveStats as a flat JSON document
-///   --json <file>      write the harness's own result summary (per-group
-///                      timings etc.) as JSON — the machine-readable twin
-///                      of the human table, consumed by the perf-smoke
-///                      guard in scripts/check.sh
 ///   --slow-log <file>  JSONL sink for slow-query explain artifacts
 ///                      (replay them with tools/sbd-explain)
 ///   --slow-threshold-us <n>   capture queries slower than n microseconds
@@ -57,7 +53,6 @@ struct BenchArgs {
   bool Quick = false;
   std::string TraceFile;
   std::string StatsJsonFile;
-  std::string JsonFile;
   std::string SlowLogFile;
   int64_t SlowThresholdUs = -1;
   uint64_t SlowNodeThreshold = 0;
@@ -95,8 +90,6 @@ struct BenchArgs {
         A.TraceFile = need("--trace");
       else if (!std::strcmp(Argv[I], "--stats-json"))
         A.StatsJsonFile = need("--stats-json");
-      else if (!std::strcmp(Argv[I], "--json"))
-        A.JsonFile = need("--json");
       else if (!std::strcmp(Argv[I], "--slow-log"))
         A.SlowLogFile = need("--slow-log");
       else if (!std::strcmp(Argv[I], "--slow-threshold-us"))
@@ -110,7 +103,7 @@ struct BenchArgs {
         std::fprintf(stderr,
                      "usage: %s [--scale f] [--timeout-ms n] "
                      "[--max-states n] [--seed n] [--threads n] [--quick] "
-                     "[--trace file] [--stats-json file] [--json file] "
+                     "[--trace file] [--stats-json file] "
                      "[--slow-log file] [--slow-threshold-us n] "
                      "[--slow-node-threshold n] [--expo file]\n",
                      Argv[0]);

@@ -15,7 +15,6 @@
 #include "baselines/BrzozowskiMintermSolver.h"
 #include "re/RegexParser.h"
 #include "solver/RegexSolver.h"
-#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
@@ -266,27 +265,15 @@ void BM_CachedMatcherThroughput(benchmark::State &State) {
   TrManager T(M);
   DerivativeEngine E(M, T);
   Re R = parseRegexOrDie(M, ".*(ab|ba){2}.*\\d.*");
-  // Snapshot before construction: the compressor and the first DFA rows are
-  // built inside the matcher constructor, and the exported counters must
-  // cover them.
-  obs::MetricShard Before = obs::MetricsRegistry::global().snapshot();
   CachedMatcher Matcher(E, R);
   std::string Input;
   for (int I = 0; I != static_cast<int>(State.range(0)); ++I)
     Input.push_back("abx7"[I % 4]);
   for (auto _ : State)
     benchmark::DoNotOptimize(Matcher.matches(Input));
-  obs::MetricShard D = obs::MetricsRegistry::global().snapshot().since(Before);
   State.counters["states"] =
       static_cast<double>(Matcher.statesMaterialized());
   State.counters["memo_hit%"] = E.stats().memoHitRate() * 100.0;
-  // Exported so the perf-smoke snapshot records that the run really built
-  // DFA states and compressed the alphabet (BENCH_PR4.json had them as 0
-  // because only the corpus bench, which never takes this path, reported).
-  State.counters["dfa_states_built"] =
-      static_cast<double>(D.get(obs::Counter::DfaStatesBuilt));
-  State.counters["alphabet_minterms"] =
-      static_cast<double>(D.get(obs::Counter::AlphabetMinterms));
 }
 BENCHMARK(BM_CachedMatcherThroughput)->Arg(64)->Arg(1024);
 
@@ -308,7 +295,8 @@ BENCHMARK(BM_GraphDeadStateReuse);
 
 /// Custom main so the harness accepts `--quick` (a short smoke run used by
 /// scripts/check.sh) and `--json <path>` (machine-readable results for the
-/// perf-smoke guard) on top of the standard google-benchmark flags.
+/// obs ON-vs-OFF overhead gate) on top of the standard google-benchmark
+/// flags.
 int main(int Argc, char **Argv) {
   std::vector<char *> Args(Argv, Argv + Argc);
   static char MinTime[] = "--benchmark_min_time=0.01";

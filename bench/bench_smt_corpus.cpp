@@ -182,11 +182,9 @@ int main(int Argc, char **Argv) {
   std::printf("%-4s %7s %8s %8s %12s %12s %10s\n", "grp", "total", "agree",
               "unknown", "direct(ms)", "via-smt(ms)", "overhead");
   SolveStats Agg;
-  std::vector<GroupStats> Results;
   for (const Group &G : Groups) {
     GroupStats S = runGroup(G.Suites, Args.Opts, Args.Threads);
     Agg += S.Work;
-    Results.push_back(S);
     double Overhead =
         S.DirectMs > 0 ? (S.ViaSmtMs - S.DirectMs) / S.DirectMs * 100.0 : 0;
     std::printf("%-4s %7zu %8zu %8zu %12.1f %12.1f %9.1f%%\n", G.Name,
@@ -239,61 +237,5 @@ int main(int Argc, char **Argv) {
               "direct path return the same sat/unsat verdict (they must,\n"
               "modulo budget); overhead is the front end's relative cost.\n");
 
-  bool Ok = Args.endObservation(Agg);
-  if (!Args.JsonFile.empty()) {
-    std::string Doc = "{\n  \"groups\": [";
-    for (size_t I = 0; I != Groups.size(); ++I) {
-      const GroupStats &S = Results[I];
-      char Buf[256];
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s\n    {\"name\": \"%s\", \"total\": %zu, "
-                    "\"agree\": %zu, \"unknown\": %zu, "
-                    "\"direct_ms\": %.3f, \"via_smt_ms\": %.3f}",
-                    I ? "," : "", Groups[I].Name, S.Total, S.Agree,
-                    S.Unknown, S.DirectMs, S.ViaSmtMs);
-      Doc += Buf;
-    }
-    Doc += "\n  ],\n  \"session\": ";
-    {
-      char Buf[512];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "{\"instances\": %zu, \"mismatches\": %zu, "
-          "\"cold_ms\": %.3f, \"warm_ms\": %.3f, "
-          "\"cold_p50_us\": %lld, \"cold_p90_us\": %lld, "
-          "\"cold_p99_us\": %lld, \"warm_p50_us\": %lld, "
-          "\"warm_p90_us\": %lld, \"warm_p99_us\": %lld, "
-          "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-          "\"cache_inserts\": %llu}",
-          Sess.Instances, Sess.Mismatches, Sess.ColdMs, Sess.WarmMs,
-          static_cast<long long>(percentileUs(Sess.ColdUs, 0.50)),
-          static_cast<long long>(percentileUs(Sess.ColdUs, 0.90)),
-          static_cast<long long>(percentileUs(Sess.ColdUs, 0.99)),
-          static_cast<long long>(percentileUs(Sess.WarmUs, 0.50)),
-          static_cast<long long>(percentileUs(Sess.WarmUs, 0.90)),
-          static_cast<long long>(percentileUs(Sess.WarmUs, 0.99)),
-          static_cast<unsigned long long>(Sess.Cache.Hits),
-          static_cast<unsigned long long>(Sess.Cache.Misses),
-          static_cast<unsigned long long>(Sess.Cache.Inserts));
-      Doc += Buf;
-    }
-    Doc += ",\n  \"counters\": ";
-    Doc += obs::MetricsRegistry::global().snapshot().json();
-    Doc += ",\n  \"histograms\": ";
-    Doc += obs::HistogramRegistry::global().snapshot().json();
-    Doc += ",\n  \"aggregate\": ";
-    Doc += Agg.json();
-    Doc += "\n}\n";
-    std::FILE *F = std::fopen(Args.JsonFile.c_str(), "w");
-    if (F) {
-      std::fwrite(Doc.data(), 1, Doc.size(), F);
-      std::fclose(F);
-      std::printf("json: wrote %s\n", Args.JsonFile.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   Args.JsonFile.c_str());
-      Ok = false;
-    }
-  }
-  return Ok ? 0 : 1;
+  return Args.endObservation(Agg) ? 0 : 1;
 }

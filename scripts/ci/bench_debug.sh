@@ -29,10 +29,10 @@ echo "bench smoke: $ran harness binaries ran clean"
 # (or only crash) under optimization, and keeps the --quick flag working.
 sbd_configure build-release -DCMAKE_BUILD_TYPE=Release
 sbd_build build-release bench_micro bench_batch bench_smt_corpus
-build-release/bench/bench_micro --quick --json /tmp/sbd-bench-micro.json
+build-release/bench/bench_micro --quick
 build-release/bench/bench_batch --threads 2 --scale 0.02
 build-release/bench/bench_smt_corpus --quick --trace /tmp/sbd-trace.json \
-  --stats-json /tmp/sbd-stats.json --json /tmp/sbd-bench-corpus.json
+  --stats-json /tmp/sbd-stats.json
 
 # Stats smoke: the observability outputs must stay valid JSON with the
 # documented keys.

@@ -10,10 +10,13 @@
 #   - worker-kill run (worker 1 dies on its 3rd request): stream still
 #     byte-identical, >= 1 crash observed, >= 1 requeue, 0 lost verdicts;
 #   - every run emits exactly one verdict line per corpus pattern;
+#   - both clean runs solved the same nonzero query count with 0 lost;
 #   - perf: N-worker wall <= 0.6x 1-worker wall, enforced only on
 #     multi-core hosts (the CI runners; a 1-core container cannot speed
-#     up by adding processes) — scripts/perf_smoke.py dist decides and
-#     merges the measurement into the BENCH_PR10.json snapshot.
+#     up by adding processes, so there the check is skipped loudly).
+#
+# Besides its build tree it writes only into a temporary directory, so no
+# tracked file changes.
 #
 # Environment:
 #   SBD_DIST_SCALE     corpus scale (default 0.05)
@@ -86,20 +89,48 @@ if ! cmp -s "$WORK/w1.out" "$WORK/kill.out"; then
   exit 1
 fi
 
-python3 - "$WORK/kill.json" << 'EOF'
+python3 - "$WORK/w1.json" "$WORK/wn.json" "$WORK/kill.json" << 'EOF'
 import json
+import os
 import sys
 
-with open(sys.argv[1]) as f:
-    kill = json.load(f)
+w1, wn, kill = (json.load(open(path)) for path in sys.argv[1:4])
+workers = wn.get("workers")
 
 failures = []
+for doc, label in ((w1, "1-worker"), (wn, f"{workers}-worker")):
+    if doc.get("queries", 0) <= 0:
+        failures.append(f"{label} run solved no queries")
+    if doc.get("lost", 0) != 0:
+        failures.append(f"{label} run lost {doc['lost']} verdicts")
+if w1.get("queries") != wn.get("queries"):
+    failures.append(f"query counts differ: {w1.get('queries')} vs "
+                    f"{wn.get('queries')}")
 if kill.get("worker_crashes", 0) < 1:
     failures.append("kill run observed no worker crash (test hook inert?)")
 if kill.get("requeues", 0) < 1:
     failures.append("kill run recovered without requeuing (lost in-flight?)")
 if kill.get("lost", 0) != 0:
     failures.append(f"kill run lost {kill['lost']} verdicts")
+
+# Forked workers time-slice a single core, so the scaling ratio only
+# means something on a host with >= 2 cores.
+DIST_GATE = 0.60
+w1_us, wn_us = w1.get("wall_us", 0), wn.get("wall_us", 0)
+cores = os.cpu_count() or 1
+ratio = wn_us / w1_us if w1_us > 0 else None
+if ratio is None:
+    failures.append("1-worker run recorded no wall time")
+elif cores < 2:
+    print(f"dist-consistency: SCALING GATE SKIPPED: this host has {cores} "
+          f"core, and {workers} forked workers cannot beat one process on "
+          "one core. The correctness checks still apply.")
+elif ratio > DIST_GATE:
+    failures.append(
+        f"{workers}-worker wall {wn_us}us > {DIST_GATE}x the 1-worker wall "
+        f"{w1_us}us ({ratio:.2f}x): adding workers is not buying "
+        "throughput (admission control stalled, or steals stopped firing?)")
+
 if failures:
     print("dist-consistency: FAILED")
     for f in failures:
@@ -107,9 +138,8 @@ if failures:
     sys.exit(1)
 print(f"worker-kill recovery: ok ({kill['worker_crashes']} crash, "
       f"{kill['requeues']} requeued, 0 lost)")
+print(f"scaling: {workers} workers {wn_us}us vs 1 worker {w1_us}us = "
+      f"{ratio:.2f}x, gate {DIST_GATE}x "
+      f"{'enforced' if cores >= 2 else 'skipped'} on {cores} cores, "
+      f"steals={wn.get('steals', 0)}")
 EOF
-
-# Scaling measurement + conditional speedup gate, merged into the perf
-# snapshot so the trend across PRs stays visible.
-python3 scripts/perf_smoke.py dist "$WORK/w1.json" "$WORK/wn.json" \
-  BENCH_PR10.json

@@ -5,7 +5,7 @@
 #     run with the obs layer compiled in (default) vs compiled out
 #     (-DSBD_OBS=OFF) must not show any series >= 200ns slowing past
 #     OVERHEAD_RATIO. Sub-200ns series are harness noise at --quick scale
-#     and are skipped, exactly like perf_smoke.py's MIN_COMPARE_NS.
+#     and are skipped.
 #
 #  2. "Slow-query artifacts replay": a corpus run with capture armed at
 #     threshold 0 must produce a JSONL artifact that sbd-explain can parse,

@@ -68,18 +68,21 @@ private:
     return true;
   }
 
+  // `|` and `&` collect their operands and build the n-ary node once:
+  // folding with the binary constructors re-interns a growing node per
+  // operand, which is quadratic in the operand count.
   Re parseUnion() {
-    Re R = parseInter();
+    std::vector<Re> Alts = {parseInter()};
     while (!Failed && consumeIf('|'))
-      R = M.union_(R, parseInter());
-    return R;
+      Alts.push_back(parseInter());
+    return Alts.size() == 1 ? Alts[0] : M.unionList(std::move(Alts));
   }
 
   Re parseInter() {
-    Re R = parseConcat();
+    std::vector<Re> Conjs = {parseConcat()};
     while (!Failed && consumeIf('&'))
-      R = M.inter(R, parseConcat());
-    return R;
+      Conjs.push_back(parseConcat());
+    return Conjs.size() == 1 ? Conjs[0] : M.interList(std::move(Conjs));
   }
 
   bool startsAtom() const {

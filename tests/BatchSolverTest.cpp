@@ -242,6 +242,18 @@ TEST(BatchSolverTest, PerQueryStatsArePopulated) {
   }
 }
 
+TEST(BatchSolverTest, CorpusBatchHitsTheAnalysisMemo) {
+  // Portfolio routing analyzes each query and the solver it routes to asks
+  // again for the same term: the second request must come from the memo.
+  obs::MetricsRegistry::global().reset();
+  BatchSolver Batch;
+  (void)Batch.solveAll(toQueries(mixedCorpus()));
+  obs::MetricShard Snap = obs::MetricsRegistry::global().snapshot();
+  EXPECT_GT(Snap.get(obs::Counter::AnalysisNodesVisited), 0u);
+  EXPECT_GT(Snap.get(obs::Counter::AnalysisCacheHits), 0u);
+  obs::MetricsRegistry::global().reset();
+}
+
 TEST(BatchSolverTest, RevalidationBuildsNoMatcherState) {
   // Sat witnesses are revalidated by the classical Brzozowski matcher, not
   // by an alphabet-compressed lazy DFA: the check must tick D_a(R) calls

@@ -3,6 +3,7 @@
 #include "core/CachedMatcher.h"
 
 #include "re/RegexParser.h"
+#include "support/Metrics.h"
 #include "support/Rng.h"
 #include "support/Unicode.h"
 
@@ -136,6 +137,20 @@ TEST_F(CachedMatcherTest, TinyCapFallsBackAndStaysCorrect) {
   EXPECT_GT(Matcher.fallbackSteps(), 0u);
   EXPECT_LE(Matcher.statesMaterialized(), 1u);
 }
+
+#if SBD_OBS
+TEST_F(CachedMatcherTest, MatchingCountsStatesAndAlphabetClasses) {
+  // The compressor and the first rows are built in the constructor, so the
+  // snapshot is taken before it.
+  const obs::MetricShard Before = obs::tlsShard();
+  CachedMatcher Matcher(E, re(".*(ab|ba){2}.*\\d.*"));
+  EXPECT_TRUE(Matcher.matches(std::string("xxabba7")));
+  EXPECT_FALSE(Matcher.matches(std::string("abab")));
+  const obs::MetricShard Diff = obs::tlsShard().since(Before);
+  EXPECT_GT(Diff.get(obs::Counter::DfaStatesBuilt), 0u);
+  EXPECT_GT(Diff.get(obs::Counter::AlphabetMinterms), 0u);
+}
+#endif // SBD_OBS
 
 TEST_F(CachedMatcherTest, AuditDetectsCorruptedRow) {
   CachedMatcher Matcher(E, re("(a|b)*abb"));

@@ -1,11 +1,12 @@
-//===- tests/HostileNestingTest.cpp - Deep-nesting front-end regressions ----===//
+//===- tests/HostileNestingTest.cpp - Hostile-shape front-end regressions ---===//
 ///
 /// \file
 /// Each shape here is deep enough to overflow the stack of a recursive
 /// parser. The regex parser and the s-expression reader stop at a fixed
 /// nesting depth (RegexMaxDepth, SExprMaxDepth) and report a parse error;
 /// these tests drive the real binaries so the error reaches the user as
-/// one, and `sbd-server` keeps serving.
+/// one, and `sbd-server` keeps serving. A wide flat union must parse in
+/// time linear in its width.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -109,6 +111,23 @@ TEST(HostileNesting, ServerRepliesErrorToA100kDeepUnionAndKeepsServing) {
   // (nothing was asserted, so the check is sat).
   EXPECT_EQ(Out, "(error \"parse error: nesting deeper than " +
                      std::to_string(SExprMaxDepth) + "\")\nsat\n");
+  std::remove(Path.c_str());
+}
+
+TEST(HostileNesting, AnalyzeParses30kAlternativesUnderOneSecond) {
+  std::string Pattern = "a0";
+  for (int I = 1; I != 30000; ++I)
+    Pattern += "|a" + std::to_string(I);
+  std::string Path = writeInput("wide_union.txt", Pattern + "\n");
+  int Exit = 0;
+  auto Start = std::chrono::steady_clock::now();
+  std::string Out =
+      run(std::string(SBD_ANALYZE_PATH) + " --file " + Path, Exit);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_LT(Seconds, 1.0);
   std::remove(Path.c_str());
 }
 

@@ -127,6 +127,32 @@ TEST_F(ParserTest, Errors) {
   expectError("a**b)");
 }
 
+/// Operand slots stored by all interned `|` and `&` nodes of \p M.
+size_t booleanKids(const RegexManager &M) {
+  size_t Kids = 0;
+  for (uint32_t Id = 0; Id != M.numNodes(); ++Id) {
+    RegexKind K = M.kind(Re{Id});
+    if (K == RegexKind::Union || K == RegexKind::Inter)
+      Kids += M.node(Re{Id}).Kids.size();
+  }
+  return Kids;
+}
+
+TEST(ParserWidth, WideUnionAndInterInternOneNode) {
+  // N operands must intern one N-ary node, not one growing node per
+  // operand (N^2/2 stored kids, quadratic parse time).
+  const size_t N = 2000;
+  for (const std::string Op : {"|", "&"}) {
+    RegexManager M;
+    std::string Pattern = "x0";
+    for (size_t I = 1; I != N; ++I)
+      Pattern += Op + "x" + std::to_string(I);
+    Re R = parseRegexOrDie(M, Pattern);
+    EXPECT_EQ(M.node(R).Kids.size(), N) << Op;
+    EXPECT_EQ(booleanKids(M), N) << Op;
+  }
+}
+
 TEST_F(ParserTest, RoundTripFixedCorpus) {
   const char *Patterns[] = {
       "abc",
