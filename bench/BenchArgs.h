@@ -7,9 +7,6 @@
 ///   --timeout-ms <n>   per-instance wall-clock budget
 ///   --max-states <n>   per-instance state budget (safety net)
 ///   --seed <n>         generator seed
-///   --threads <n>      worker threads for the batch-capable harnesses
-///                      (default 1, which keeps single-thread figure
-///                      outputs identical to the sequential path)
 ///   --quick            smoke-test preset: tiny scale and short timeouts,
 ///                      for CI and the stats-smoke step of check.sh
 ///   --trace <file>     record a span timeline of the run and write it as
@@ -31,7 +28,6 @@
 #ifndef SBD_BENCH_BENCHARGS_H
 #define SBD_BENCH_BENCHARGS_H
 
-#include "portfolio/BatchSolver.h"
 #include "solver/SlowQueryLog.h"
 #include "solver/SolverResult.h"
 #include "support/Exposition.h"
@@ -49,7 +45,6 @@ namespace sbd {
 struct BenchArgs {
   double Scale = 0.05;
   uint64_t Seed = 2021;
-  unsigned Threads = 1;
   bool Quick = false;
   std::string TraceFile;
   std::string StatsJsonFile;
@@ -79,9 +74,6 @@ struct BenchArgs {
         A.Opts.MaxStates = std::strtoull(need("--max-states"), nullptr, 10);
       else if (!std::strcmp(Argv[I], "--seed"))
         A.Seed = std::strtoull(need("--seed"), nullptr, 10);
-      else if (!std::strcmp(Argv[I], "--threads"))
-        A.Threads =
-            static_cast<unsigned>(std::strtoul(need("--threads"), nullptr, 10));
       else if (!std::strcmp(Argv[I], "--quick")) {
         A.Quick = true;
         A.Scale = 0.01;
@@ -102,7 +94,7 @@ struct BenchArgs {
       else {
         std::fprintf(stderr,
                      "usage: %s [--scale f] [--timeout-ms n] "
-                     "[--max-states n] [--seed n] [--threads n] [--quick] "
+                     "[--max-states n] [--seed n] [--quick] "
                      "[--trace file] [--stats-json file] "
                      "[--slow-log file] [--slow-threshold-us n] "
                      "[--slow-node-threshold n] [--expo file]\n",
@@ -138,10 +130,10 @@ struct BenchArgs {
       obs::armSignalExposition(ExpoFile);
   }
 
-  /// Call after the measured work (worker threads joined): writes the
-  /// Chrome trace, the stats JSON, and/or the Prometheus exposition when
-  /// requested. \p Aggregate is the per-query SolveStats summed over the
-  /// run. Returns false if any requested output could not be written.
+  /// Call after the measured work: writes the Chrome trace, the stats
+  /// JSON, and/or the Prometheus exposition when requested. \p Aggregate
+  /// is the per-query SolveStats summed over the run. Returns false if any
+  /// requested output could not be written.
   bool endObservation(const SolveStats &Aggregate) const {
     bool Ok = true;
     if (!TraceFile.empty()) {
@@ -204,23 +196,6 @@ inline void printPhaseTable(const SolveStats &Agg) {
               static_cast<unsigned long long>(Agg.DnfCalls),
               static_cast<unsigned long long>(Agg.ArcsEnumerated),
               static_cast<unsigned long long>(Agg.MintermsProduced));
-}
-
-/// Prints the per-engine phase table BatchSolver aggregates, one row per
-/// engine that answered at least one query.
-inline void printEnginePhaseTable(const std::vector<EnginePhaseRow> &Rows) {
-  if (Rows.empty())
-    return;
-  auto Ms = [](int64_t Us) { return static_cast<double>(Us) / 1000.0; };
-  std::printf("per-engine phase breakdown:\n");
-  std::printf("  %-12s %8s %10s %10s %10s %10s\n", "engine", "queries",
-              "derive(ms)", "dnf(ms)", "search(ms)", "total(ms)");
-  for (const EnginePhaseRow &R : Rows)
-    std::printf("  %-12s %8llu %10.1f %10.1f %10.1f %10.1f\n",
-                solveEngineName(R.Engine),
-                static_cast<unsigned long long>(R.Queries),
-                Ms(R.Stats.DeriveUs), Ms(R.Stats.DnfUs), Ms(R.Stats.SearchUs),
-                Ms(R.Stats.TotalUs));
 }
 
 } // namespace sbd

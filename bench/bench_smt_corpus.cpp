@@ -39,14 +39,13 @@ struct GroupStats {
 };
 
 GroupStats runGroup(const std::vector<BenchSuite> &Suites,
-                    const SolveOptions &Opts, unsigned Threads) {
+                    const SolveOptions &Opts) {
   GroupStats Stats;
   SolveOptions Dz3 = Opts;
   Dz3.Strategy = SearchStrategy::Dfs;
 
-  // Direct path: every instance is an independent query, fanned out over
-  // the batch front end (one thread-local arena stack per worker; with
-  // --threads 1 this runs inline and matches the sequential path).
+  // Direct path: every instance is an independent query through the batch
+  // front end (a fresh solver stack per query).
   std::vector<const BenchInstance *> Instances;
   std::vector<BatchQuery> Queries;
   for (const BenchSuite &Suite : Suites) {
@@ -57,9 +56,7 @@ GroupStats runGroup(const std::vector<BenchSuite> &Suites,
   }
   Stats.Total = Instances.size();
 
-  BatchOptions BatchOpts;
-  BatchOpts.NumThreads = Threads;
-  BatchSolver Batch(BatchOpts);
+  BatchSolver Batch;
   std::vector<BatchResult> Direct = Batch.solveAll(Queries);
   Stats.Cache += Batch.stats();
   for (const BatchResult &R : Direct) {
@@ -69,8 +66,8 @@ GroupStats runGroup(const std::vector<BenchSuite> &Suites,
   }
 
   // Via-SMT path: render each instance to an SMT-LIB script and solve it
-  // through the full parse → compile → enumerate front end (sequential;
-  // the comparison is front-end overhead, not parallel speedup).
+  // through the full parse → compile → enumerate front end (the
+  // comparison is front-end overhead).
   for (size_t I = 0; I != Instances.size(); ++I) {
     if (!Direct[I].ParseOk)
       continue;
@@ -177,13 +174,13 @@ int main(int Argc, char **Argv) {
 
   Args.beginObservation();
   std::printf("== Full-stack SMT front end vs direct solver ==\n");
-  std::printf("scale=%.3f timeout=%lldms threads=%u\n\n", Args.Scale,
-              static_cast<long long>(Args.Opts.TimeoutMs), Args.Threads);
+  std::printf("scale=%.3f timeout=%lldms\n\n", Args.Scale,
+              static_cast<long long>(Args.Opts.TimeoutMs));
   std::printf("%-4s %7s %8s %8s %12s %12s %10s\n", "grp", "total", "agree",
               "unknown", "direct(ms)", "via-smt(ms)", "overhead");
   SolveStats Agg;
   for (const Group &G : Groups) {
-    GroupStats S = runGroup(G.Suites, Args.Opts, Args.Threads);
+    GroupStats S = runGroup(G.Suites, Args.Opts);
     Agg += S.Work;
     double Overhead =
         S.DirectMs > 0 ? (S.ViaSmtMs - S.DirectMs) / S.DirectMs * 100.0 : 0;

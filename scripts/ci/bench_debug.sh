@@ -28,9 +28,8 @@ echo "bench smoke: $ran harness binaries ran clean"
 # Release-mode bench smoke: catches perf-path regressions that only compile
 # (or only crash) under optimization, and keeps the --quick flag working.
 sbd_configure build-release -DCMAKE_BUILD_TYPE=Release
-sbd_build build-release bench_micro bench_batch bench_smt_corpus
+sbd_build build-release bench_micro bench_smt_corpus
 build-release/bench/bench_micro --quick
-build-release/bench/bench_batch --threads 2 --scale 0.02
 build-release/bench/bench_smt_corpus --quick --trace /tmp/sbd-trace.json \
   --stats-json /tmp/sbd-stats.json
 

@@ -27,12 +27,7 @@ require() {
 
 require cmake "install CMake 3.16+"
 
-# Prefer Ninja, fall back to the default generator rather than failing:
-# the build matrix must run on minimal containers too.
 SBD_CMAKE_ARGS=()
-if command -v ninja > /dev/null 2>&1; then
-  SBD_CMAKE_ARGS+=(-G Ninja)
-fi
 
 # Compiler selection from the CI matrix.
 if [ -n "${SBD_CC:-}" ] || [ -n "${SBD_CXX:-}" ]; then
@@ -72,10 +67,17 @@ sbd_workdir() { # sbd_workdir <var-name> [slug]
 }
 
 # sbd_configure <build-dir> [extra cmake args...]
+# Prefers Ninja on a fresh build dir and falls back to the default generator
+# rather than failing: the build matrix must run on minimal containers too.
+# An already-configured dir keeps its generator (CMake refuses to switch).
 sbd_configure() {
-  local dir="$1"
+  local dir="$1" gen=()
   shift
-  cmake -B "$dir" -S . ${SBD_CMAKE_ARGS[@]+"${SBD_CMAKE_ARGS[@]}"} "$@"
+  if [ ! -f "$dir/CMakeCache.txt" ] && command -v ninja > /dev/null 2>&1; then
+    gen=(-G Ninja)
+  fi
+  cmake -B "$dir" -S . ${gen[@]+"${gen[@]}"} \
+    ${SBD_CMAKE_ARGS[@]+"${SBD_CMAKE_ARGS[@]}"} "$@"
 }
 
 # sbd_build <build-dir> [targets...]

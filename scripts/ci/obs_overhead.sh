@@ -58,7 +58,7 @@ EOF
 # Slow-query capture → sbd-explain replay round trip.
 SLOW_LOG=/tmp/sbd-obs-slow.jsonl
 rm -f "$SLOW_LOG"
-build-release/bench/bench_smt_corpus --quick --threads 1 \
+build-release/bench/bench_smt_corpus --quick \
   --slow-log "$SLOW_LOG" --slow-threshold-us 0 > /dev/null
 test -s "$SLOW_LOG" || {
   echo "obs-overhead: $SLOW_LOG is empty — slow-query capture broke" >&2

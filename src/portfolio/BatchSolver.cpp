@@ -1,4 +1,4 @@
-//===- portfolio/BatchSolver.cpp - Parallel batch solving front end ---------===//
+//===- portfolio/BatchSolver.cpp - Batch solving front end ------------------===//
 
 #include "portfolio/BatchSolver.h"
 
@@ -8,10 +8,7 @@
 #include "support/Stopwatch.h"
 #include "support/Trace.h"
 
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 using namespace sbd;
 using portfolio::SolverStack;
@@ -63,73 +60,18 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
   return Out;
 }
 
-namespace {
-
-/// Buckets every result's SolveStats by the engine that produced it.
-std::vector<EnginePhaseRow>
-bucketByEngine(const std::vector<BatchResult> &Results) {
-  constexpr size_t NumEngines = 6; // SolveEngine enumerator count
-  EnginePhaseRow Rows[NumEngines];
-  for (size_t I = 0; I != NumEngines; ++I)
-    Rows[I].Engine = static_cast<SolveEngine>(I);
-  for (const BatchResult &R : Results) {
-    if (!R.ParseOk)
-      continue;
-    EnginePhaseRow &Row = Rows[static_cast<size_t>(R.Result.Stats.Engine)];
-    ++Row.Queries;
-    Row.Stats += R.Result.Stats;
-  }
-  std::vector<EnginePhaseRow> Out;
-  for (size_t I = 0; I != NumEngines; ++I)
-    if (Rows[I].Queries)
-      Out.push_back(Rows[I]);
-  return Out;
-}
-
-} // namespace
-
 std::vector<BatchResult>
 BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
-  std::vector<BatchResult> Results(Queries.size());
+  std::vector<BatchResult> Results;
+  Results.reserve(Queries.size());
   Stats.reset();
-  Phases.clear();
-
-  // The work loop every worker runs: claim the next unprocessed query index
-  // and solve it on a fresh stack. Results are written to disjoint slots,
-  // so no synchronization beyond the claim counter is needed.
-  std::atomic<size_t> Next{0};
-  std::mutex StatsMutex;
-  auto workLoop = [&] {
-    CacheStats Local;
-    for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-         I < Queries.size();
-         I = Next.fetch_add(1, std::memory_order_relaxed)) {
-      auto W = std::make_unique<SolverStack>();
-      Results[I] = solveOnStack(*W, Queries[I], false);
-      Local += W->stats();
-      // Safe point for SIGUSR1-driven exposition dumps (one relaxed load
-      // when no dump is pending).
-      obs::pollExposition();
-    }
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Stats += Local;
-  };
-
-  unsigned Threads = Opts.NumThreads;
-  if (Threads <= 1 || Queries.size() <= 1) {
-    workLoop();
-    Phases = bucketByEngine(Results);
-    return Results;
+  for (const BatchQuery &Q : Queries) {
+    auto W = std::make_unique<SolverStack>();
+    Results.push_back(solveOnStack(*W, Q, false));
+    Stats += W->stats();
+    // Safe point for SIGUSR1-driven exposition dumps (one relaxed load
+    // when no dump is pending).
+    obs::pollExposition();
   }
-  if (Threads > Queries.size())
-    Threads = static_cast<unsigned>(Queries.size());
-
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (unsigned I = 0; I != Threads; ++I)
-    Pool.emplace_back(workLoop);
-  for (std::thread &Th : Pool)
-    Th.join();
-  Phases = bucketByEngine(Results);
   return Results;
 }

@@ -1,20 +1,18 @@
-//===- portfolio/BatchSolver.h - Parallel batch solving front end -----------===//
+//===- portfolio/BatchSolver.h - Batch solving front end --------------------===//
 ///
 /// \file
 /// Serving-stack front end: takes N independent regex satisfiability
 /// queries (surface-syntax patterns, so queries are self-contained and not
-/// tied to any caller-side arena) and fans them out over a small worker
-/// pool. Each worker owns a full thread-local solver stack — RegexManager,
-/// TrManager, DerivativeEngine, RegexSolver — so the hot path runs with
-/// zero locks and zero shared mutable state; handles never cross managers
-/// (the "thread-local arena rule", DESIGN.md §7).
+/// tied to any caller-side arena) and solves them in order on the calling
+/// thread. Each query gets a fresh solver stack — RegexManager, TrManager,
+/// DerivativeEngine, RegexSolver — which bounds its memory and makes its
+/// state budget independent of the queries solved before it. Parallelism
+/// is worker processes (`src/dist`, DESIGN.md §16), not threads.
 ///
 /// Queries carry their own `SolveOptions` (deadline, state budget,
-/// strategy); results come back in input order regardless of scheduling.
-/// Every query solves on a fresh stack, which bounds each query's memory
-/// and makes its state budget independent of the queries solved before it;
-/// with term order independent of arena history (RegexManager::canonLess),
-/// verdicts and witnesses are byte-identical across thread counts.
+/// strategy); `result[i]` answers query i. With term order independent of
+/// arena history (RegexManager::canonLess), verdicts and witnesses are
+/// byte-identical to the worker-process path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,41 +45,20 @@ struct BatchResult {
   SolveResult Result;
 };
 
-/// Pool configuration.
-struct BatchOptions {
-  /// Worker threads; 0 or 1 solves inline on the calling thread.
-  unsigned NumThreads = 1;
-};
-
-/// Per-engine phase aggregation over one solveAll() call: every query's
-/// SolveStats summed into the bucket of the engine that answered it.
-struct EnginePhaseRow {
-  SolveEngine Engine = SolveEngine::DerivBfs;
-  uint64_t Queries = 0;
-  SolveStats Stats;
-};
-
-/// Fans independent queries over thread-local solver stacks.
+/// Solves independent queries one after another, each on a fresh stack.
 class BatchSolver {
 public:
-  explicit BatchSolver(BatchOptions Options = {}) : Opts(Options) {}
+  BatchSolver() = default;
 
   /// Solves all queries; `result[i]` answers `Queries[i]`.
   std::vector<BatchResult> solveAll(const std::vector<BatchQuery> &Queries);
 
-  /// Aggregated interning/memo counters across all workers of the last
-  /// solveAll() call (regex arena + transition arena + engine memos).
+  /// Aggregated interning/memo counters of the last solveAll() call
+  /// (regex arena + transition arena + engine memos, summed over queries).
   const CacheStats &stats() const { return Stats; }
 
-  /// Per-engine phase table for the last solveAll() call, engines in enum
-  /// order, engines with zero queries omitted. The bench harnesses print
-  /// this as the per-engine phase breakdown.
-  const std::vector<EnginePhaseRow> &enginePhases() const { return Phases; }
-
 private:
-  BatchOptions Opts;
   CacheStats Stats;
-  std::vector<EnginePhaseRow> Phases;
 };
 
 } // namespace sbd

@@ -50,12 +50,19 @@ RouteDecision portfolio::planRoute(const analysis::RegexFeatures &F,
 }
 
 SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
+  // One clock for the whole call, so TotalUs holds everything the
+  // portfolio did: the cache probe, its own analysis, routing, and any
+  // Antimirov attempt that ended without an answer.
+  Stopwatch Timer;
+  auto finish = [&Timer](SolveResult &Out) {
+    Out.TimeUs = Timer.elapsedUs();
+    Out.Stats.TotalUs = Out.TimeUs;
+  };
   // Cross-query verdict cache (DESIGN.md §15). The probe runs before the
   // analyzer: a hit skips analysis, routing, and solving entirely. An
   // empty key means the canonical print exceeded the key cap — skip.
   std::string CacheKey;
   if (Cache) {
-    Stopwatch HitTimer;
     CacheKey = cache::canonicalVerdictKey(M, R, Opts);
     if (std::optional<cache::CachedVerdict> Hit = Cache->lookup(CacheKey)) {
       SolveResult Out;
@@ -69,8 +76,7 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
           Out.Status = SolveStatus::Unknown;
           Out.Stop = StopReason::CacheRevalidationFailed;
           Out.Note = "cached witness failed reference-matcher revalidation";
-          Out.TimeUs = HitTimer.elapsedUs();
-          Out.Stats.TotalUs = Out.TimeUs;
+          finish(Out);
           return Out;
         }
         Out.Status = SolveStatus::Sat;
@@ -78,8 +84,7 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
       } else {
         Out.Status = SolveStatus::Unsat;
       }
-      Out.TimeUs = HitTimer.elapsedUs();
-      Out.Stats.TotalUs = Out.TimeUs;
+      finish(Out);
       return Out;
     }
   }
@@ -104,8 +109,16 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
     // Non-answer (budget, timeout, fragment): the derivative engine is the
     // completeness backstop, so routing can never lose a verdict.
   }
-  if (!Solved)
+  if (!Solved) {
     Out = S.checkSat(R, Opts);
+    Out.Stats.AnalysisUs += AnalysisUs;
+  }
+  finish(Out);
+  // The search residual is re-taken over the whole call, as RegexSolver
+  // takes it over its own: wall time less the δ and δdnf phases.
+  const int64_t Attributed = Out.Stats.DeriveUs + Out.Stats.DnfUs;
+  Out.Stats.SearchUs =
+      Out.Stats.TotalUs > Attributed ? Out.Stats.TotalUs - Attributed : 0;
 
   // Memoize definite verdicts only: Unknown/Unsupported depend on budgets
   // and fragment coverage, not on the language, so they must never be

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The rebuildable per-worker solver stack shared by every batch front end:
-/// `BatchSolver`'s thread workers, the `src/dist` worker processes, and
+/// `BatchSolver`'s loop, the `src/dist` worker processes, and
 /// (shape-wise) `sbd-server`'s resident stack. Members are constructed in
 /// declaration order, so the references wired through the constructors are
 /// valid; the struct is non-movable and lives behind a unique_ptr — a

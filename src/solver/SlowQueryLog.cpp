@@ -62,7 +62,7 @@ struct SlowQueryLog::Impl {
 };
 
 SlowQueryLog::Impl &SlowQueryLog::impl() {
-  // Leaked like the metric registries: solver threads may outlive main().
+  // Leaked: an embedder's solver threads may outlive main().
   static Impl *I = new Impl();
   return *I;
 }

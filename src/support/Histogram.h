@@ -2,19 +2,18 @@
 ///
 /// \file
 /// The distribution half of the observability subsystem: fixed
-/// log2-bucketed histograms for latencies and sizes, sharded per thread and
-/// merged deterministically, mirroring the counter registry design in
-/// support/Metrics.h exactly:
+/// log2-bucketed histograms for latencies and sizes, kept exactly like the
+/// counters in support/Metrics.h:
 ///
-///  - Hot paths never touch shared mutable state. Every thread records into
-///    its own `HistShard` (plain uint64 arrays, no atomics); the registry
-///    mutex is taken only on thread register/exit and on snapshot/reset.
+///  - The store is one plain `constinit thread_local HistShard` (plain
+///    uint64 arrays, no atomics, no locks, no registration); the registry
+///    reads and zeroes the calling thread's shard only.
 ///  - Bucketing is pure integer arithmetic on the value's bit width, so the
 ///    same workload produces bit-identical bucket counts regardless of
-///    thread count, scheduling, or platform: value 0 lands in bucket 0 and
-///    value v > 0 lands in bucket bit_width(v), i.e. bucket b holds
-///    [2^(b-1), 2^b). Percentiles are read deterministically as the upper
-///    bound of the bucket containing the ceil(q*Count)-th sample.
+///    scheduling or platform: value 0 lands in bucket 0 and value v > 0
+///    lands in bucket bit_width(v), i.e. bucket b holds [2^(b-1), 2^b).
+///    Percentiles are read deterministically as the upper bound of the
+///    bucket containing the ceil(q*Count)-th sample.
 ///  - Compile with `-DSBD_OBS=0` to strip every `SBD_OBS_HIST` recording;
 ///    the registry API stays as a zero-cost shell (all-zero snapshots) so
 ///    exposition and statistics call sites need no `#if` guards.
@@ -93,18 +92,6 @@ struct HistShard {
       if (V > Max)
         Max = V;
     }
-
-    Data &operator+=(const Data &O) {
-      for (size_t I = 0; I != NumHistBuckets; ++I)
-        Buckets[I] += O.Buckets[I];
-      Count += O.Count;
-      Sum += O.Sum;
-      if (O.Min < Min)
-        Min = O.Min;
-      if (O.Max > Max)
-        Max = O.Max;
-      return *this;
-    }
   };
 
   Data H[NumHistograms];
@@ -112,12 +99,6 @@ struct HistShard {
   void record(Hist Id, uint64_t V) { H[static_cast<size_t>(Id)].record(V); }
   const Data &data(Hist Id) const { return H[static_cast<size_t>(Id)]; }
   uint64_t count(Hist Id) const { return data(Id).Count; }
-
-  HistShard &operator+=(const HistShard &O) {
-    for (size_t I = 0; I != NumHistograms; ++I)
-      H[I] += O.H[I];
-    return *this;
-  }
 
   void reset() { *this = HistShard(); }
 
@@ -133,44 +114,27 @@ struct HistShard {
 uint64_t histPercentile(const HistShard::Data &D, unsigned Pct);
 
 namespace detail {
-/// The calling thread's histogram shard pointer; null until the thread's
-/// first record registers one (same constinit contract as TlsShard).
-extern constinit thread_local HistShard *TlsHistShard;
-/// Slow path: registers a shard for this thread and returns it.
-HistShard &registerThreadHistShard();
+/// The calling thread's histograms (same constinit contract as TlsShard).
+extern constinit thread_local HistShard TlsHistShard;
 } // namespace detail
 
 /// The calling thread's histogram shard — the only thing hot paths touch.
-inline HistShard &tlsHistShard() {
-  HistShard *P = detail::TlsHistShard;
-  return P ? *P : detail::registerThreadHistShard();
-}
+inline HistShard &tlsHistShard() { return detail::TlsHistShard; }
 
-/// Process-wide registry of per-thread histogram shards. Singleton,
-/// intentionally leaked (same lifetime rules as MetricsRegistry).
+/// Read API over the calling thread's histogram shard. Singleton.
 class HistogramRegistry {
 public:
   static HistogramRegistry &global();
 
-  /// The calling thread's shard (see tlsHistShard()).
-  HistShard &local() { return tlsHistShard(); }
+  /// Copy of the calling thread's histograms.
+  HistShard snapshot() { return tlsHistShard(); }
 
-  /// Merged view: retired shards of exited threads + all live shards.
-  /// Exact only when no other thread is concurrently recording.
-  HistShard snapshot();
-
-  /// Zeroes every live shard and the retired sum. Call between benchmark
-  /// runs (with workers joined).
-  void reset();
+  /// Zeroes the calling thread's histograms. Call between benchmark runs.
+  void reset() { tlsHistShard().reset(); }
 
 private:
   HistogramRegistry() = default;
   HistogramRegistry(const HistogramRegistry &) = delete;
-
-  struct Impl;
-  static Impl &impl();
-
-  friend HistShard &detail::registerThreadHistShard();
 };
 
 #if SBD_OBS

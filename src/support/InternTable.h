@@ -17,9 +17,8 @@
 ///     by (regex id, character)).
 ///
 /// Both count probe lengths into a `CacheStats` when one is attached, and
-/// both are single-threaded by design: concurrency is handled one level up
-/// by giving each worker its own arena (DESIGN.md, "thread-local arena
-/// rule").
+/// both are single-threaded by design: one solving thread per process, and
+/// scale-out is worker processes with arenas of their own (DESIGN.md §7).
 ///
 //===----------------------------------------------------------------------===//
 

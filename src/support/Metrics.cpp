@@ -2,9 +2,6 @@
 
 #include "support/Metrics.h"
 
-#include <mutex>
-#include <vector>
-
 using namespace sbd;
 using namespace sbd::obs;
 
@@ -130,85 +127,9 @@ std::string MetricShard::json() const {
   return Out;
 }
 
-/// Registry internals: a mutex-guarded list of live per-thread shards plus
-/// the folded counters of threads that have exited. The thread_local Holder
-/// below unregisters itself on thread exit, so `Live` never dangles.
-struct MetricsRegistry::Impl {
-  std::mutex Mu;
-  std::vector<MetricShard *> Live;
-  MetricShard Retired;
-};
-
-MetricsRegistry::Impl &MetricsRegistry::impl() {
-  // One leaked instance per process: thread-exit hooks may run after main()
-  // returns, so the registry must never be destroyed.
-  static Impl *I = new Impl();
-  return *I;
-}
-
 MetricsRegistry &MetricsRegistry::global() {
-  static MetricsRegistry *R = new MetricsRegistry();
-  return *R;
+  static MetricsRegistry R;
+  return R;
 }
 
-constinit thread_local MetricShard *sbd::obs::detail::TlsShard = nullptr;
-
-namespace {
-
-/// Dumping ground for counter bumps that happen while (or after) a
-/// thread's shard holder is torn down. Trivially destructible, so it
-/// outlives every other thread_local; its contents are dropped.
-thread_local MetricShard ExitSink;
-
-/// Registers this thread's shard on first use; folds it into the retired
-/// sum on thread exit.
-struct ShardHolder {
-  MetricShard Shard;
-  std::mutex *Mu;
-  std::vector<MetricShard *> *Live;
-  MetricShard *Retired;
-
-  ShardHolder(std::mutex &M, std::vector<MetricShard *> &L, MetricShard &R)
-      : Mu(&M), Live(&L), Retired(&R) {
-    std::lock_guard<std::mutex> Lock(*Mu);
-    Live->push_back(&Shard);
-  }
-
-  ~ShardHolder() {
-    detail::TlsShard = &ExitSink;
-    std::lock_guard<std::mutex> Lock(*Mu);
-    *Retired += Shard;
-    for (auto It = Live->begin(); It != Live->end(); ++It) {
-      if (*It == &Shard) {
-        Live->erase(It);
-        break;
-      }
-    }
-  }
-};
-
-} // namespace
-
-MetricShard &sbd::obs::detail::registerThreadShard() {
-  MetricsRegistry::Impl &I = MetricsRegistry::impl();
-  thread_local ShardHolder Holder(I.Mu, I.Live, I.Retired);
-  TlsShard = &Holder.Shard;
-  return Holder.Shard;
-}
-
-MetricShard MetricsRegistry::snapshot() {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  MetricShard Out = I.Retired;
-  for (const MetricShard *S : I.Live)
-    Out += *S;
-  return Out;
-}
-
-void MetricsRegistry::reset() {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  I.Retired.reset();
-  for (MetricShard *S : I.Live)
-    S->reset();
-}
+constinit thread_local MetricShard sbd::obs::detail::TlsShard;

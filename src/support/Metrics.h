@@ -1,25 +1,24 @@
 //===- support/Metrics.h - Unified counter registry (sbd::obs) --------------===//
 ///
 /// \file
-/// The counting half of the observability subsystem: a process-wide
-/// `MetricsRegistry` of named counters with *per-thread shards*, plus the
-/// per-owner `CacheStats` struct the interning/memo layers bump (moved here
-/// from the former support/CacheStats.h, which this header supersedes).
+/// The counting half of the observability subsystem: the `MetricsRegistry`
+/// read API over a per-thread counter shard, plus the per-owner
+/// `CacheStats` struct the interning/memo layers bump (moved here from the
+/// former support/CacheStats.h, which this header supersedes).
 ///
 /// Design rules:
 ///
-///  - Hot paths never touch shared mutable state. Every thread increments
-///    its own `MetricShard` (a plain array of uint64, no atomics); the
-///    registry only takes its mutex when a thread first appears, when a
-///    thread exits (its shard is folded into a retired sum), and when a
-///    reader asks for a merged snapshot. `BatchSolver` workers are
-///    therefore lock-free while solving.
-///  - Snapshots taken while worker threads are actively counting are
-///    approximate (plain loads may tear); take them after joining workers
-///    for exact values. All tests and benches do.
+///  - One solving thread per process (DESIGN.md §7); scale-out is worker
+///    processes, each with its own counters. The store is one plain
+///    `constinit thread_local MetricShard`: hot paths bump it with no
+///    atomics, no locks and no registration, and the registry reads and
+///    zeroes the calling thread's shard only.
+///  - The shard stays `thread_local` rather than a plain global so that an
+///    embedder that solves on several threads (one solver stack each) has
+///    no data race; each thread then sees only its own counts, and
+///    `snapshot()` on one thread does not include the others.
 ///  - Per-*query* attribution does not go through the registry at all: a
-///    solver snapshots its thread's shard on entry and diffs on exit
-///    (queries never migrate threads — the thread-local arena rule).
+///    solver snapshots the shard on entry and diffs on exit.
 ///  - Compile with `-DSBD_OBS=0` to strip every counter update and span;
 ///    the macros expand to nothing and the structs stay as zero-cost
 ///    shells so call sites need no `#if` guards. The same switch strips
@@ -162,47 +161,28 @@ struct MetricShard {
 };
 
 namespace detail {
-/// The calling thread's shard pointer; null until the thread's first
-/// counter bump registers a shard. `constinit` + trivially destructible so
-/// the fast path is a bare TLS load (no init guard, no wrapper logic).
-extern constinit thread_local MetricShard *TlsShard;
-/// Slow path: registers a shard for this thread and returns it.
-MetricShard &registerThreadShard();
+/// The calling thread's counters. `constinit` + trivially destructible, so
+/// the fast path is a bare TLS access with no init guard.
+extern constinit thread_local MetricShard TlsShard;
 } // namespace detail
 
-/// The calling thread's shard — the only thing hot paths touch. First call
-/// from a thread takes the registry mutex once; afterwards this is one TLS
-/// load, a null test, and the increment.
-inline MetricShard &tlsShard() {
-  MetricShard *P = detail::TlsShard;
-  return P ? *P : detail::registerThreadShard();
-}
+/// The calling thread's shard — the only thing hot paths touch.
+inline MetricShard &tlsShard() { return detail::TlsShard; }
 
-/// Process-wide registry of per-thread shards. Singleton (`global()`);
-/// intentionally leaked so thread-exit hooks never race its destructor.
+/// Read API over the calling thread's shard. Singleton (`global()`).
 class MetricsRegistry {
 public:
   static MetricsRegistry &global();
 
-  /// The calling thread's shard (see tlsShard()).
-  MetricShard &local() { return tlsShard(); }
+  /// Copy of the calling thread's counters.
+  MetricShard snapshot() { return tlsShard(); }
 
-  /// Merged view: retired shards of exited threads + all live shards.
-  /// Exact only when no other thread is concurrently counting.
-  MetricShard snapshot();
-
-  /// Zeroes every live shard and the retired sum. Call between benchmark
-  /// runs (with workers joined).
-  void reset();
+  /// Zeroes the calling thread's counters. Call between benchmark runs.
+  void reset() { tlsShard().reset(); }
 
 private:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry &) = delete;
-
-  struct Impl;
-  static Impl &impl();
-
-  friend MetricShard &detail::registerThreadShard();
 };
 
 #if SBD_OBS
@@ -220,8 +200,7 @@ private:
 
 /// Hit/miss/probe counters for one interning table or memo cache owner.
 /// All counters are plain (non-atomic) — each arena is single-threaded by
-/// design (see DESIGN.md, "thread-local arena rule"); cross-thread
-/// aggregation happens only after workers join.
+/// design (see DESIGN.md §7, "one solving thread per process").
 struct CacheStats {
   /// Hash-consing: structurally-equal node re-interned (no allocation).
   uint64_t InternHits = 0;

@@ -11,10 +11,10 @@
 ///    atomic load and a branch; no clock is read, nothing allocates. The
 ///    `SBD_SPAN` macro additionally compiles to nothing at `-DSBD_OBS=0`.
 ///  - Enabled: each span reads the monotonic clock twice and appends one
-///    event to a *per-thread* buffer — no locks on the hot path; buffers
-///    are merged under a mutex only at export time (or when a thread
-///    exits). Span names/categories must be string literals (the tracer
-///    stores the pointers).
+///    event to the calling thread's buffer (one `thread_local` vector, no
+///    locks). Export renders the calling thread's events: one solving
+///    thread per process (DESIGN.md §7). Span names/categories must be
+///    string literals (the tracer stores the pointers).
 ///
 /// Usage:
 ///
@@ -49,8 +49,7 @@ struct TraceEvent {
   std::string Args;
 };
 
-/// Process-wide tracer. Singleton, intentionally leaked (thread-exit hooks
-/// must never race its destructor).
+/// Process-wide tracer switch over per-thread event buffers. Singleton.
 class Tracer {
 public:
   static Tracer &global();
@@ -58,12 +57,12 @@ public:
   /// Fast path for instrumentation sites: is any tracing active?
   static bool active() { return Enabled.load(std::memory_order_relaxed); }
 
-  /// Clears previously collected events, resets the epoch, enables
+  /// Clears the calling thread's events, resets the epoch, enables
   /// collection.
   void start();
   /// Stops collection (already-collected events are kept for export).
   void stop();
-  /// Drops all collected events (start() also does this).
+  /// Drops the calling thread's events (start() also does this).
   void clear();
 
   /// Microseconds since the epoch.
@@ -81,22 +80,19 @@ public:
   void setMaxEventsPerThread(size_t Max);
   size_t maxEventsPerThread() const;
 
-  /// Renders all collected events (retired + live threads) as a Chrome
-  /// trace_event JSON document. Call with worker threads joined.
+  /// Renders the calling thread's events as a Chrome trace_event JSON
+  /// document.
   std::string chromeTraceJson();
 
   /// Writes chromeTraceJson() to \p Path; returns false on I/O error.
   bool writeChromeTrace(const std::string &Path);
 
-  /// Number of collected events (diagnostics/tests).
+  /// Number of events the calling thread collected (diagnostics/tests).
   size_t eventCount();
 
 private:
   Tracer() = default;
   Tracer(const Tracer &) = delete;
-
-  struct Impl;
-  static Impl &impl();
 
   static std::atomic<bool> Enabled;
 };

@@ -235,6 +235,37 @@ TEST(AnalyzerTest, PortfolioAgreesWithDirectSolver) {
   }
 }
 
+TEST(AnalyzerTest, PortfolioPhaseTimesFitInsideTotal) {
+  // The portfolio times the whole call, so every attributed phase (its own
+  // analysis included) lies inside TotalUs on every route.
+  Stack St;
+  portfolio::PortfolioSolver Port(St.S);
+  auto check = [&](const std::string &P, const SolveOptions &Opts,
+                   SolveEngine Want) {
+    SolveResult Res = Port.checkSat(St.parse(P), Opts);
+    const SolveStats &S = Res.Stats;
+    EXPECT_EQ(S.Engine, Want) << P;
+    EXPECT_LE(S.AnalysisUs + S.DeriveUs + S.DnfUs + S.ScanUs, S.TotalUs) << P;
+    EXPECT_EQ(S.SearchUs, S.TotalUs - S.DeriveUs - S.DnfUs) << P;
+    EXPECT_EQ(Res.TimeUs, S.TotalUs) << P;
+    return S;
+  };
+  SolveOptions Bfs;
+  check("(.*\\d.*)&(.*[a-z].*)&.{4,12}", Bfs, SolveEngine::DerivBfs);
+  // The portfolio's own analysis of a fresh 2000-word union takes whole
+  // microseconds; the solver's second request is a memo hit. Both count.
+  std::string Words = "(a0000";
+  for (int I = 1; I != 2000; ++I)
+    Words += "|a" + std::to_string(10000 + I).substr(1);
+  Words += ")&~(a0000)";
+  EXPECT_GT(check(Words, Bfs, SolveEngine::DerivBfs).AnalysisUs, 0);
+  check("(ab)*cdefgh", Bfs, SolveEngine::Antimirov);
+  // A one-state budget stops Antimirov; the derivative engine answers.
+  SolveOptions Tiny;
+  Tiny.MaxStates = 1;
+  check("(ab)*cdefgh", Tiny, SolveEngine::DerivBfs);
+}
+
 TEST(AnalyzerTest, SolverStatsCarryThePrediction) {
   Stack St;
   SolveResult Res = St.S.checkSat(St.parse("~(((ab)*c)*d)*"));

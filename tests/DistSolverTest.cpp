@@ -85,12 +85,10 @@ TEST(DistSolverTest, VerdictStreamIndependentOfWorkerCount) {
 
 TEST(DistSolverTest, MatchesInProcessBatchSolver) {
   // The dist layer must be a transparent transport: its verdict stream is
-  // byte-identical to the single-threaded in-process BatchSolver's.
+  // byte-identical to the in-process BatchSolver's.
   std::vector<BatchQuery> Queries = mixedCorpus();
 
-  BatchOptions BOpts;
-  BOpts.NumThreads = 1;
-  BatchSolver Local(BOpts);
+  BatchSolver Local;
   std::string LocalStream = streamOf(Local.solveAll(Queries));
 
   DistOptions DOpts;

@@ -113,13 +113,15 @@ TEST(MetricsTest, RegistrySeesSolverWork) {
             0u);
 }
 
-TEST(MetricsTest, ExitedThreadShardsFoldIntoSnapshot) {
-  obs::MetricsRegistry::global().reset();
-  std::thread Worker([] { obs::tlsShard().add(obs::Counter::Lookups, 123); });
-  Worker.join();
-  EXPECT_EQ(
-      obs::MetricsRegistry::global().snapshot().get(obs::Counter::Lookups),
-      123u);
+TEST(MetricsTest, OtherThreadsBumpsAreAbsentFromThisThreadsSnapshot) {
+  // Counters are per thread: an embedder's second solving thread counts
+  // into its own shard, never into this one.
+  const obs::MetricShard Before = obs::MetricsRegistry::global().snapshot();
+  std::thread Other([] { obs::tlsShard().add(obs::Counter::Lookups, 123); });
+  Other.join();
+  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().since(Before).get(
+                obs::Counter::Lookups),
+            0u);
 }
 
 #endif // SBD_OBS
@@ -284,40 +286,6 @@ TEST(HistogramTest, ShardJsonParses) {
 }
 
 #if SBD_OBS
-
-TEST(HistogramTest, MergeIsIndependentOfThreadCount) {
-  // The same fixed workload recorded on one thread and sliced over eight
-  // must merge to bit-identical distributions.
-  std::vector<uint64_t> Work;
-  for (uint64_t I = 0; I != 4096; ++I)
-    Work.push_back((I * 2654435761u) % 100000);
-
-  obs::HistShard Single;
-  for (uint64_t V : Work)
-    Single.record(obs::Hist::SolveLatencyUs, V);
-
-  obs::HistogramRegistry::global().reset();
-  std::vector<std::thread> Workers;
-  for (size_t W = 0; W != 8; ++W)
-    Workers.emplace_back([W, &Work] {
-      for (size_t I = W; I < Work.size(); I += 8)
-        obs::tlsHistShard().record(obs::Hist::SolveLatencyUs, Work[I]);
-    });
-  for (std::thread &Th : Workers)
-    Th.join();
-  obs::HistShard Merged = obs::HistogramRegistry::global().snapshot();
-
-  const obs::HistShard::Data &A = Single.data(obs::Hist::SolveLatencyUs);
-  const obs::HistShard::Data &B = Merged.data(obs::Hist::SolveLatencyUs);
-  EXPECT_EQ(A.Count, B.Count);
-  EXPECT_EQ(A.Sum, B.Sum);
-  EXPECT_EQ(A.Min, B.Min);
-  EXPECT_EQ(A.Max, B.Max);
-  for (size_t I = 0; I != obs::NumHistBuckets; ++I)
-    EXPECT_EQ(A.Buckets[I], B.Buckets[I]) << "bucket " << I;
-  EXPECT_EQ(Single.json(), Merged.json());
-  obs::HistogramRegistry::global().reset();
-}
 
 TEST(HistogramTest, SolverRecordsLatencyAndSizeDistributions) {
   obs::HistogramRegistry::global().reset();
