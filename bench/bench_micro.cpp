@@ -10,7 +10,6 @@
 
 #include "automata/Sbfa.h"
 #include "charset/Bdd.h"
-#include "core/CachedMatcher.h"
 #include "baselines/AntimirovSolver.h"
 #include "baselines/BrzozowskiMintermSolver.h"
 #include "re/RegexParser.h"
@@ -257,25 +256,6 @@ void BM_BddOpsVsIntervals(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_BddOpsVsIntervals);
-
-void BM_CachedMatcherThroughput(benchmark::State &State) {
-  // Repeated matching through the SRM-style cached transition table vs the
-  // uncached derivative matcher (BM_MatcherLongInput).
-  RegexManager M;
-  TrManager T(M);
-  DerivativeEngine E(M, T);
-  Re R = parseRegexOrDie(M, ".*(ab|ba){2}.*\\d.*");
-  CachedMatcher Matcher(E, R);
-  std::string Input;
-  for (int I = 0; I != static_cast<int>(State.range(0)); ++I)
-    Input.push_back("abx7"[I % 4]);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Matcher.matches(Input));
-  State.counters["states"] =
-      static_cast<double>(Matcher.statesMaterialized());
-  State.counters["memo_hit%"] = E.stats().memoHitRate() * 100.0;
-}
-BENCHMARK(BM_CachedMatcherThroughput)->Arg(64)->Arg(1024);
 
 void BM_GraphDeadStateReuse(benchmark::State &State) {
   // Measures the payoff of the persistent graph: re-proving emptiness of a

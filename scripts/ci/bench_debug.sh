@@ -9,21 +9,26 @@
 
 BUILD_DIR="${1:-build}"
 
-# Every harness binary must exist and exit 0. The loop counts what it ran:
-# a glob that matches nothing (e.g. after a build-layout change) must fail
-# the step, not silently pass it.
-ran=0
-for b in "$BUILD_DIR"/bench/*; do
-  if [ -f "$b" ] && [ -x "$b" ]; then
-    "$b" --quick
-    ran=$((ran + 1))
-  fi
-done
-if [ "$ran" -eq 0 ]; then
-  echo "error: no bench binaries found under $BUILD_DIR/bench — did the build run?" >&2
+# Runs exactly the harnesses bench/CMakeLists.txt declares (sbd_add_bench /
+# add_executable): each must exist and exit 0. Leftover binaries of deleted
+# benches in an old build dir are not run.
+mapfile -t benches < <(sed -nE \
+  's/^[[:space:]]*(sbd_add_bench|add_executable)\(([A-Za-z0-9_]+).*/\2/p' \
+  bench/CMakeLists.txt)
+if [ "${#benches[@]}" -eq 0 ]; then
+  echo "error: no harness declared in bench/CMakeLists.txt" >&2
   exit 1
 fi
-echo "bench smoke: $ran harness binaries ran clean"
+for b in "${benches[@]}"; do
+  if [ ! -x "$BUILD_DIR/bench/$b" ]; then
+    echo "error: declared harness $BUILD_DIR/bench/$b is missing — did the build run?" >&2
+    exit 1
+  fi
+done
+for b in "${benches[@]}"; do
+  "$BUILD_DIR/bench/$b" --quick
+done
+echo "bench smoke: ${#benches[@]} harness binaries ran clean"
 
 # Release-mode bench smoke: catches perf-path regressions that only compile
 # (or only crash) under optimization, and keeps the --quick flag working.

@@ -89,8 +89,6 @@ enum class ViolationKind : uint8_t {
   TrUnsatIteGuard,   ///< ite guard unsatisfiable (⊥) — breaks the ite rule
   TrNotDnf,          ///< Inter node inside a claimed-DNF transition regex
   TrUnsatBranch,     ///< DNF path condition unsatisfiable (branch not clean)
-  // --- Compressed exploration (PR 4: dense rows over minterm ids) ----------
-  DfaRowMismatch,    ///< dense successor row disagrees with uncompressed δdnf
 
   NumKinds ///< sentinel — keep last
 };
@@ -133,7 +131,6 @@ inline const char *kindName(ViolationKind K) {
   case ViolationKind::TrUnsatIteGuard: return "tr_unsat_ite_guard";
   case ViolationKind::TrNotDnf: return "tr_not_dnf";
   case ViolationKind::TrUnsatBranch: return "tr_unsat_branch";
-  case ViolationKind::DfaRowMismatch: return "dfa_row_mismatch";
   case ViolationKind::NumKinds: break;
   }
   return "?";

@@ -1,5 +1,4 @@
 //===- charset/AlphabetCompressor.cpp - Mintermized alphabet compression ----===//
-// sbd-lint: hot-path
 
 #include "charset/AlphabetCompressor.h"
 
@@ -24,12 +23,8 @@ AlphabetCompressor::AlphabetCompressor(const std::vector<CharSet> &Preds) {
   std::vector<Event> Events;
   std::vector<uint32_t> Bounds;
   Events.reserve(Preds.size() * 2);
-  Bounds.reserve(Preds.size() * 2 + 2);
+  Bounds.reserve(Preds.size() * 2 + 1);
   Bounds.push_back(0);
-  // Force a boundary at the table edge so no elementary segment straddles
-  // it: segments at index >= AsciiSegments then start at or above 256, which
-  // keeps the binary search's loop invariant trivially true.
-  Bounds.push_back(AsciiTableSize);
   for (size_t P = 0; P != Preds.size(); ++P) {
     for (const CharRange &R : Preds[P].ranges()) {
       Bounds.push_back(R.Lo);
@@ -47,8 +42,7 @@ AlphabetCompressor::AlphabetCompressor(const std::vector<CharSet> &Preds) {
 
   // Group segments by signature; class ids are assigned in order of first
   // appearance, i.e. ascending by the class's minimum element (class 0
-  // always contains code point 0). std::map keeps construction out of the
-  // banned node-hash-table territory and is only touched once per segment.
+  // always contains code point 0). The map is touched once per segment.
   size_t NumWords = (Preds.size() + 63) / 64;
   std::vector<uint64_t> Sig(NumWords, 0);
   std::map<std::vector<uint64_t>, uint16_t> ClassOfSig;
@@ -84,25 +78,6 @@ AlphabetCompressor::AlphabetCompressor(const std::vector<CharSet> &Preds) {
       Rep = std::max<uint32_t>(Lo, 0x21);
   }
 
-  // Fill the dense table; the forced boundary at AsciiTableSize guarantees
-  // the count below is exact (no segment is split by the table edge).
-  for (size_t I = 0; I != SegmentStarts.size() &&
-                     SegmentStarts[I] < AsciiTableSize;
-       ++I) {
-    uint32_t End = (I + 1 != SegmentStarts.size())
-                       ? std::min(SegmentStarts[I + 1], AsciiTableSize)
-                       : AsciiTableSize;
-    for (uint32_t Cp = SegmentStarts[I]; Cp != End; ++Cp)
-      AsciiTable[Cp] = SegmentClasses[I];
-    AsciiSegments = I + 1;
-  }
-  // Make the binary search's initial Lo point at the first segment covering
-  // code points >= AsciiTableSize. Because of the forced boundary, that is
-  // exactly the segment starting at AsciiTableSize (it always exists:
-  // AsciiTableSize - 1 < MaxCodePoint).
-  // AsciiSegments now counts segments strictly below the edge, which is the
-  // index of the segment starting at the edge.
-
   SBD_OBS_ADD(AlphabetMinterms, numClasses());
 }
 
@@ -115,8 +90,6 @@ CharSet AlphabetCompressor::classSet(uint16_t Cls) const {
                                                   : MaxCodePoint;
     Rs.push_back({SegmentStarts[I], Hi});
   }
-  // fromRanges re-coalesces segments split only by the forced table-edge
-  // boundary.
   return CharSet::fromRanges(std::move(Rs));
 }
 

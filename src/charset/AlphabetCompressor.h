@@ -1,5 +1,4 @@
 //===- charset/AlphabetCompressor.h - Mintermized alphabet compression ------===//
-// sbd-lint: hot-path
 ///
 /// \file
 /// Query-scoped alphabet compression (the "mintermization" of Section 3 and
@@ -7,23 +6,16 @@
 /// coarsest partition of the code-point domain such that every ψ ∈ Ψ — and
 /// therefore every Boolean combination of members of Ψ, which is exactly the
 /// set of guards the derivative closure can ever produce — is a union of
-/// partition blocks. Each block (minterm) gets a dense id, so the exploration
-/// hot paths can run over small integer alphabets instead of `CharSet`
-/// objects:
+/// partition blocks. Each block (minterm) gets a dense id:
 ///
-///   - `classOf(cp)` maps a code point to its minterm id through an RE2-style
-///     bytemap: a flat 256-entry table answers ASCII (and Latin-1) in one
-///     load, everything above falls back to binary search over the sorted
-///     segment starts.
 ///   - `representative(id)` is a fixed witness character per block
 ///     (printable ASCII preferred, so witness strings stay readable).
-///   - `classSet(id)` recovers the block as a CharSet for callers that still
-///     need predicate objects (automata construction, DOT rendering).
+///   - `classSet(id)` / `classSets()` recover the blocks as CharSets for
+///     automata construction, DOT rendering and the minterm baseline.
 ///
-/// One instance is built per query (or per matcher/automaton) and shared by
-/// every state expansion of that query; this is the single place the
-/// partition sweep is implemented — `computeMinterms` and the former ad-hoc
-/// copies in the baselines/automata all route through it.
+/// This is the single place the partition sweep is implemented —
+/// `computeMinterms`, the SFA/SAFA constructions and the Brzozowski minterm
+/// baseline all route through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,30 +46,12 @@ public:
   /// Number of classes (>= 1; the partition covers the whole domain).
   uint32_t numClasses() const { return static_cast<uint32_t>(Reps.size()); }
 
-  /// The minterm id of \p Cp. O(1) for code points < 256, O(log segments)
-  /// above.
-  uint16_t classOf(uint32_t Cp) const {
-    if (Cp < AsciiTableSize)
-      return AsciiTable[Cp];
-    // Binary search the sorted segment starts: the class of Cp is the class
-    // of the last segment starting at or below it.
-    size_t Lo = AsciiSegments, Hi = SegmentStarts.size();
-    while (Lo + 1 < Hi) {
-      size_t Mid = (Lo + Hi) / 2;
-      if (SegmentStarts[Mid] <= Cp)
-        Lo = Mid;
-      else
-        Hi = Mid;
-    }
-    return SegmentClasses[Lo];
-  }
-
   /// A fixed representative code point of class \p Cls (printable ASCII
   /// preferred).
   uint32_t representative(uint16_t Cls) const { return Reps[Cls]; }
 
   /// The full block of class \p Cls as a canonical CharSet. Materialized on
-  /// demand from the segment table (the hot paths never need it).
+  /// demand from the segment table.
   CharSet classSet(uint16_t Cls) const;
 
   /// All blocks, in class-id order. Pairwise disjoint, nonempty, union =
@@ -85,20 +59,11 @@ public:
   std::vector<CharSet> classSets() const;
 
 private:
-  /// Dense lookup for the hottest sub-alphabet. 256 covers ASCII and
-  /// Latin-1; the table is shared by all states of a query, so it stays
-  /// resident in L1 regardless of how many states the exploration touches.
-  static constexpr uint32_t AsciiTableSize = 256;
-
-  uint16_t AsciiTable[AsciiTableSize];
   /// Elementary segments [SegmentStarts[i], SegmentStarts[i+1]) in ascending
   /// order; the last segment ends at MaxCodePoint. SegmentClasses[i] is the
   /// class of segment i.
   std::vector<uint32_t> SegmentStarts;
   std::vector<uint16_t> SegmentClasses;
-  /// Number of leading segments fully below AsciiTableSize (skipped by the
-  /// binary search, which only ever sees Cp >= AsciiTableSize).
-  size_t AsciiSegments = 0;
   /// Per-class representative code point.
   std::vector<uint32_t> Reps;
 };

@@ -47,10 +47,6 @@ const char *DifferentialOracle::engineName(size_t Id) {
   switch (Id) {
   case EngRefMatcher:
     return "ref_matcher";
-  case EngDfaMatcher:
-    return "dfa_matcher";
-  case EngTinyDfaMatcher:
-    return "tiny_dfa_matcher";
   case EngSbfa:
     return "sbfa";
   case EngSafa:
@@ -461,15 +457,6 @@ void DifferentialOracle::beginRegex(Re Rx, std::vector<Discrepancy> &Out) {
   CurFeat = Solver.analyzer().analyze(Rx);
   checkAnalyzerStability(Out);
 
-  // The lazy DFA at a roomy cap, and at a tiny cap that forces eviction
-  // and the uncached fallback.
-  CachedMatcher::Options Full;
-  Full.MaxStates = Opts.MatcherMaxStates;
-  DfaMatcher = std::make_unique<CachedMatcher>(Eng, Cur, Full);
-  CachedMatcher::Options Tiny;
-  Tiny.MaxStates = Opts.TinyMatcherMaxStates;
-  TinyMatcher = std::make_unique<CachedMatcher>(Eng, Cur, Tiny);
-
   SbfaA = timed(EngSbfa, [&] {
     return Sbfa::build(Eng, Cur, Opts.SbfaMaxStates);
   });
@@ -520,13 +507,6 @@ void DifferentialOracle::checkWord(const std::vector<uint32_t> &W,
   if (Ref)
     checkAnalyzerPrefix(W, engineName(EngRefMatcher), Out);
 
-  noteMembership(W, engineName(EngDfaMatcher),
-                 timed(EngDfaMatcher, [&] { return DfaMatcher->matches(W); }),
-                 Ref, Out);
-  noteMembership(W, engineName(EngTinyDfaMatcher),
-                 timed(EngTinyDfaMatcher,
-                       [&] { return TinyMatcher->matches(W); }),
-                 Ref, Out);
   if (SbfaA)
     noteMembership(W, engineName(EngSbfa),
                    timed(EngSbfa, [&] { return SbfaA->accepts(W); }), Ref,

@@ -7,8 +7,6 @@
 ///  **Membership**, against every engine that can decide it independently:
 ///   - the classical Brzozowski derivative matcher (the reference — it is
 ///     implemented directly from the textbook rules, not via δ);
-///   - the bounded lazy DFA `CachedMatcher`, once at a roomy cap and once
-///     at a tiny cap that forces eviction and the uncached fallback;
 ///   - the SBFA alternating run (`Sbfa::accepts`, Section 7 semantics);
 ///   - the SAFA obtained by local mintermization (`Safa::fromSbfa`);
 ///   - the eager SFA product pipeline compiled to a complete DFA
@@ -55,7 +53,6 @@
 #include "automata/Sbfa.h"
 #include "baselines/AntimirovSolver.h"
 #include "baselines/BrzozowskiMintermSolver.h"
-#include "core/CachedMatcher.h"
 #include "solver/RegexSolver.h"
 
 #include <functional>
@@ -127,8 +124,6 @@ struct EnginePhase {
 /// Engine caps and the sat-verdict toggle. Every budget is a state/size
 /// count so oracle verdicts are reproducible bit-for-bit from a seed.
 struct OracleOptions {
-  size_t MatcherMaxStates = 512;
-  size_t TinyMatcherMaxStates = 4; ///< forces eviction + fallback paths
   size_t SbfaMaxStates = 96;
   size_t SafaMaxTransitions = 160; ///< gate on the SBFA before conversion
   size_t EagerMaxStates = 384;
@@ -193,8 +188,6 @@ public:
 private:
   enum EngineId : size_t {
     EngRefMatcher,
-    EngDfaMatcher,
-    EngTinyDfaMatcher,
     EngSbfa,
     EngSafa,
     EngEagerDfa,
@@ -241,8 +234,6 @@ private:
   // Per-regex state (rebuilt by beginRegex).
   Re Cur{0};
   Re CurCompl{0};
-  std::unique_ptr<CachedMatcher> DfaMatcher;
-  std::unique_ptr<CachedMatcher> TinyMatcher;
   std::optional<Sbfa> SbfaA;
   std::optional<Safa> SafaA;
   std::optional<Sdfa> EagerD;

@@ -531,10 +531,18 @@ void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out) const {
   case RegexKind::Pred:
     Out += Sets[N.PredIdx].str();
     break;
-  case RegexKind::Concat:
-    printPrec(N.Kids[0], 3, Out);
-    printPrec(N.Kids[1], 2, Out);
+  case RegexKind::Concat: {
+    // Walk the right-associated spine in a loop: one recursion per link
+    // overflows the stack on long literals. A Concat tail needs no
+    // parentheses at precedence 2, so it is printed inline.
+    Re Tail = R;
+    do {
+      printPrec(node(Tail).Kids[0], 3, Out);
+      Tail = node(Tail).Kids[1];
+    } while (node(Tail).Kind == RegexKind::Concat);
+    printPrec(Tail, 2, Out);
     break;
+  }
   case RegexKind::Star:
     printPrec(N.Kids[0], 5, Out);
     Out += '*';

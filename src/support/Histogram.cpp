@@ -13,8 +13,6 @@ const char *sbd::obs::histName(Hist H) {
     return "solve_arena_nodes";
   case Hist::DnfExpansionArcs:
     return "dnf_expansion_arcs";
-  case Hist::LazyScanUs:
-    return "lazy_scan_us";
   case Hist::DistRpcUs:
     return "dist_rpc_us";
   case Hist::DistQueueDepth:

@@ -40,7 +40,6 @@ enum class Hist : uint32_t {
   SolveLatencyUs,   ///< RegexSolver::checkSat wall-clock per query
   SolveArenaNodes,  ///< regex + TR nodes a query allocated
   DnfExpansionArcs, ///< arcs per δdnf expansion in the search loop
-  LazyScanUs,       ///< CachedMatcher::matches on the lazy bounded path
   DistRpcUs,        ///< coordinator-side request→response round trip
   DistQueueDepth,   ///< a worker's queued backlog, sampled at dispatch
 

@@ -27,8 +27,6 @@ const char *sbd::obs::counterName(Counter C) {
     return "alphabet_minterms";
   case Counter::DfaStatesBuilt:
     return "dfa_states_built";
-  case Counter::DfaEvictions:
-    return "dfa_evictions";
   case Counter::SolverSteps:
     return "solver_steps";
   case Counter::TimeoutChecks:

@@ -66,11 +66,9 @@ enum class Counter : uint32_t {
   // Character algebra.
   MintermComputations, ///< computeMinterms() calls
   MintermsProduced,    ///< total minterms returned by those calls
-  // Alphabet compression + lazy-DFA layer (charset/AlphabetCompressor.h,
-  // core/CachedMatcher.h).
+  // Alphabet compression (charset/AlphabetCompressor.h).
   AlphabetMinterms,    ///< minterm classes assigned by AlphabetCompressor
-  DfaStatesBuilt,      ///< lazy-DFA states expanded (dense rows filled)
-  DfaEvictions,        ///< lazy-DFA states evicted by the bounded cache
+  DfaStatesBuilt,      ///< always 0; kept for perfbench
   // Solver search loop.
   SolverSteps,         ///< states dequeued by RegexSolver::checkSat
   TimeoutChecks,       ///< deadline clock reads in the search loop

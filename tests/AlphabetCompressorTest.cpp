@@ -2,6 +2,7 @@
 
 #include "charset/AlphabetCompressor.h"
 
+#include "support/Metrics.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -12,8 +13,17 @@ using namespace sbd;
 
 namespace {
 
-/// Exhaustive reference check on a sample of code points: two points get the
-/// same class iff they agree on membership in every predicate.
+/// The id of the block of \p Blocks that holds \p Cp (the blocks partition
+/// the domain, so exactly one does).
+uint16_t blockOf(const std::vector<CharSet> &Blocks, uint32_t Cp) {
+  for (size_t I = 0; I != Blocks.size(); ++I)
+    if (Blocks[I].contains(Cp))
+      return static_cast<uint16_t>(I);
+  ADD_FAILURE() << "no block holds U+" << Cp;
+  return 0;
+}
+
+/// Which predicates hold \p Cp.
 std::vector<bool> signatureOf(const std::vector<CharSet> &Preds, uint32_t Cp) {
   std::vector<bool> Sig;
   Sig.reserve(Preds.size());
@@ -22,67 +32,56 @@ std::vector<bool> signatureOf(const std::vector<CharSet> &Preds, uint32_t Cp) {
   return Sig;
 }
 
-/// Sample points that hit every interval boundary neighborhood plus a spread
-/// of interior/exterior points.
-std::vector<uint32_t> boundarySamples(const std::vector<CharSet> &Preds) {
-  std::set<uint32_t> Pts = {0, 1, 0x7F, 0x80, 0xFF, 0x100, MaxCodePoint - 1,
-                            MaxCodePoint};
-  for (const CharSet &P : Preds)
-    for (const CharRange &R : P.ranges()) {
-      for (uint32_t D : {0u, 1u}) {
-        if (R.Lo >= D)
-          Pts.insert(R.Lo - D);
-        if (R.Lo + D <= MaxCodePoint)
-          Pts.insert(R.Lo + D);
-        if (R.Hi >= D)
-          Pts.insert(R.Hi - D);
-        if (R.Hi + D <= MaxCodePoint)
-          Pts.insert(R.Hi + D);
-      }
-    }
-  return {Pts.begin(), Pts.end()};
-}
-
-/// Full partition validation: classOf agrees with predicate membership on
-/// boundary samples, representatives round-trip, classSets() partition the
-/// domain.
+/// Full partition validation: the blocks are disjoint and cover the domain,
+/// every predicate is a union of blocks, no two blocks share a predicate
+/// signature (the partition is the coarsest one), and every representative
+/// lies in its own block, in printable ASCII whenever the block reaches it.
 void expectValidPartition(const std::vector<CharSet> &Preds) {
   AlphabetCompressor C(Preds);
   ASSERT_GT(C.numClasses(), 0u);
 
-  // classOf ↔ contains cross-check: same class ⇔ same predicate signature.
-  std::vector<uint32_t> Pts = boundarySamples(Preds);
-  for (uint32_t Cp : Pts) {
-    uint16_t Cls = C.classOf(Cp);
-    ASSERT_LT(Cls, C.numClasses()) << "class id out of range at U+" << Cp;
-    uint32_t Rep = C.representative(Cls);
-    EXPECT_EQ(signatureOf(Preds, Cp), signatureOf(Preds, Rep))
-        << "U+" << Cp << " disagrees with its class representative U+" << Rep;
-    EXPECT_EQ(C.classOf(Rep), Cls) << "representative not in its own class";
-    EXPECT_TRUE(C.classSet(Cls).contains(Cp))
-        << "classSet(" << Cls << ") misses member U+" << Cp;
-  }
-
-  // classSets() is a partition: disjoint, covers the domain.
   std::vector<CharSet> Blocks = C.classSets();
   ASSERT_EQ(Blocks.size(), C.numClasses());
+  const CharSet Printable = CharSet::range(0x21, 0x7E);
   CharSet Union;
   uint64_t Total = 0;
-  for (const CharSet &B : Blocks) {
+  for (uint16_t Cls = 0; Cls != Blocks.size(); ++Cls) {
+    const CharSet &B = Blocks[Cls];
     EXPECT_FALSE(B.isEmpty());
     EXPECT_TRUE(Union.intersectWith(B).isEmpty()) << "blocks overlap";
     Union = Union.unionWith(B);
     Total += B.count();
+    EXPECT_EQ(C.classSet(Cls), B) << "classSet disagrees with classSets";
+
+    uint32_t Rep = C.representative(Cls);
+    EXPECT_TRUE(B.contains(Rep))
+        << "representative U+" << Rep << " not in its own block " << Cls;
+    if (!B.intersectWith(Printable).isEmpty()) {
+      EXPECT_TRUE(Printable.contains(Rep))
+          << "block " << Cls << " reaches printable ASCII but its "
+          << "representative is U+" << Rep;
+    }
+
+    for (const CharSet &P : Preds) {
+      CharSet In = B.intersectWith(P);
+      EXPECT_TRUE(In.isEmpty() || In == B)
+          << "a predicate splits block " << Cls;
+    }
   }
   EXPECT_TRUE(Union.isFull());
   EXPECT_EQ(Total, uint64_t(MaxCodePoint) + 1);
+
+  std::set<std::vector<bool>> Signatures;
+  for (uint16_t Cls = 0; Cls != Blocks.size(); ++Cls)
+    EXPECT_TRUE(
+        Signatures.insert(signatureOf(Preds, C.representative(Cls))).second)
+        << "block " << Cls << " repeats another block's signature";
 }
 
 TEST(AlphabetCompressor, EmptyPredicateSet) {
   AlphabetCompressor C{std::vector<CharSet>{}};
   // No predicates ⇒ one class: the whole alphabet.
   EXPECT_EQ(C.numClasses(), 1u);
-  EXPECT_EQ(C.classOf('a'), C.classOf(0x10FFFF));
   EXPECT_TRUE(C.classSet(0).isFull());
   expectValidPartition({});
 }
@@ -90,8 +89,8 @@ TEST(AlphabetCompressor, EmptyPredicateSet) {
 TEST(AlphabetCompressor, DefaultConstructedIsTrivial) {
   AlphabetCompressor C;
   EXPECT_EQ(C.numClasses(), 1u);
-  EXPECT_EQ(C.classOf(0), 0u);
-  EXPECT_EQ(C.classOf(MaxCodePoint), 0u);
+  EXPECT_TRUE(C.classSet(0).isFull());
+  EXPECT_TRUE(CharSet::range(0x21, 0x7E).contains(C.representative(0)));
 }
 
 TEST(AlphabetCompressor, AdjacentAndTouchingIntervals) {
@@ -104,10 +103,11 @@ TEST(AlphabetCompressor, AdjacentAndTouchingIntervals) {
                                 CharSet::range('5', '9')};
   AlphabetCompressor C(Preds);
   EXPECT_EQ(C.numClasses(), 5u); // four blocks + everything else
-  EXPECT_NE(C.classOf('m'), C.classOf('n'));
-  EXPECT_NE(C.classOf('4'), C.classOf('5'));
-  EXPECT_EQ(C.classOf('a'), C.classOf('m'));
-  EXPECT_EQ(C.classOf('n'), C.classOf('z'));
+  std::vector<CharSet> Blocks = C.classSets();
+  EXPECT_NE(blockOf(Blocks, 'm'), blockOf(Blocks, 'n'));
+  EXPECT_NE(blockOf(Blocks, '4'), blockOf(Blocks, '5'));
+  EXPECT_EQ(blockOf(Blocks, 'a'), blockOf(Blocks, 'm'));
+  EXPECT_EQ(blockOf(Blocks, 'n'), blockOf(Blocks, 'z'));
   expectValidPartition(Preds);
 }
 
@@ -117,9 +117,10 @@ TEST(AlphabetCompressor, OverlappingPredicates) {
                                 CharSet::range('h', 'z')};
   AlphabetCompressor C(Preds);
   EXPECT_EQ(C.numClasses(), 4u); // [a-g], [h-p], [q-z], rest
-  EXPECT_NE(C.classOf('a'), C.classOf('h'));
-  EXPECT_NE(C.classOf('h'), C.classOf('q'));
-  EXPECT_NE(C.classOf('a'), C.classOf('q'));
+  std::vector<CharSet> Blocks = C.classSets();
+  EXPECT_NE(blockOf(Blocks, 'a'), blockOf(Blocks, 'h'));
+  EXPECT_NE(blockOf(Blocks, 'h'), blockOf(Blocks, 'q'));
+  EXPECT_NE(blockOf(Blocks, 'a'), blockOf(Blocks, 'q'));
   expectValidPartition(Preds);
 }
 
@@ -129,21 +130,11 @@ TEST(AlphabetCompressor, MaxCodePointBoundary) {
   std::vector<CharSet> Preds = {CharSet::range(0x10FF00, MaxCodePoint),
                                 CharSet::singleton(MaxCodePoint)};
   AlphabetCompressor C(Preds);
-  EXPECT_TRUE(Preds[0].contains(C.representative(C.classOf(0x10FF42))));
-  EXPECT_NE(C.classOf(0x10FF42), C.classOf(MaxCodePoint));
-  EXPECT_NE(C.classOf(0x10FEFF), C.classOf(0x10FF00));
-  expectValidPartition(Preds);
-}
-
-TEST(AlphabetCompressor, AsciiTableMatchesBinarySearchAtEdge) {
-  // Segments straddling the 0xFF/0x100 edge exercise both lookup paths;
-  // both must yield the same class for points with equal signatures.
-  std::vector<CharSet> Preds = {CharSet::range(0x80, 0x17F),
-                                CharSet::range(0xFF, 0x100)};
-  AlphabetCompressor C(Preds);
-  EXPECT_EQ(C.classOf(0xFF), C.classOf(0x100));  // table path vs search path
-  EXPECT_EQ(C.classOf(0xFE), C.classOf(0x101));  // inside [0x80,0x17F] only
-  EXPECT_NE(C.classOf(0xFF), C.classOf(0xFE));
+  std::vector<CharSet> Blocks = C.classSets();
+  EXPECT_TRUE(
+      Preds[0].contains(C.representative(blockOf(Blocks, 0x10FF42))));
+  EXPECT_NE(blockOf(Blocks, 0x10FF42), blockOf(Blocks, MaxCodePoint));
+  EXPECT_NE(blockOf(Blocks, 0x10FEFF), blockOf(Blocks, 0x10FF00));
   expectValidPartition(Preds);
 }
 
@@ -155,12 +146,22 @@ TEST(AlphabetCompressor, MoreThan64Predicates) {
     Preds.push_back(CharSet::singleton(0x1000 + 2 * I));
   AlphabetCompressor C(Preds);
   EXPECT_EQ(C.numClasses(), 71u); // 70 singletons + everything else
+  std::vector<CharSet> Blocks = C.classSets();
   std::set<uint16_t> Classes;
   for (uint32_t I = 0; I != 70; ++I)
-    Classes.insert(C.classOf(0x1000 + 2 * I));
+    Classes.insert(blockOf(Blocks, 0x1000 + 2 * I));
   EXPECT_EQ(Classes.size(), 70u);
   expectValidPartition(Preds);
 }
+
+#if SBD_OBS
+TEST(AlphabetCompressor, CountsItsClasses) {
+  const obs::MetricShard Before = obs::tlsShard();
+  AlphabetCompressor C({CharSet::range('a', 'p'), CharSet::range('h', 'z')});
+  const obs::MetricShard Diff = obs::tlsShard().since(Before);
+  EXPECT_EQ(Diff.get(obs::Counter::AlphabetMinterms), C.numClasses());
+}
+#endif // SBD_OBS
 
 TEST(AlphabetCompressor, RandomizedCrossCheck) {
   Rng Rand(42);

@@ -162,6 +162,67 @@ TEST_F(DerivTest, UnicodeMatching) {
   EXPECT_TRUE(E.matches(Astral, std::string("\xF0\x9F\x98\x80")));
 }
 
+TEST_F(DerivTest, MatchesUnicodeRanges) {
+  Re R = re("[\\u4E00-\\u9FFF]+x?");
+  EXPECT_TRUE(E.matches(R, std::string("\xE4\xB8\xAD")));
+  EXPECT_TRUE(E.matches(R, std::string("\xE4\xB8\xADx")));
+  EXPECT_FALSE(E.matches(R, std::string("x")));
+
+  // Over 4,096 non-ASCII code points (three UTF-8 bytes each), matched
+  // repeatedly through one engine so its memo stays warm across calls.
+  std::string Long;
+  for (int I = 0; I != 5000; ++I)
+    Long += "\xE4\xB8\xAD";
+  std::string Tail = Long + "x";
+  std::string Broken = Long.substr(0, 3 * 2500) + "y" + Long.substr(3 * 2500);
+  for (int Rep = 0; Rep != 3; ++Rep) {
+    EXPECT_TRUE(E.matches(R, Long));
+    EXPECT_TRUE(E.matches(R, Tail));
+    EXPECT_FALSE(E.matches(R, Broken));
+  }
+}
+
+TEST_F(DerivTest, MatchesLongAsciiInput) {
+  Re R = re("(.*\\d.*)&~(.*01.*)");
+  std::string Long;
+  while (Long.size() < 5000)
+    Long += "xy0z";
+  std::string Broken = Long.substr(0, 2500) + "01" + Long.substr(2500);
+  for (int Rep = 0; Rep != 3; ++Rep) {
+    EXPECT_TRUE(E.matches(R, Long));
+    EXPECT_FALSE(E.matches(R, Broken));
+  }
+}
+
+TEST_F(DerivTest, MatchesIsLazyOnHugeRegex) {
+  // Rejecting a short word must not build the reachable derivative space
+  // of a 40-deep loop intersection, only the nodes of the two steps taken.
+  Re R = re("(.*a.{40})&(.*b.{40})");
+  size_t Before = M.numNodes();
+  EXPECT_FALSE(E.matches(R, std::string("ab")));
+  EXPECT_LE(M.numNodes() - Before, 8u);
+}
+
+TEST_F(DerivTest, MatchesReusesMemoAcrossCalls) {
+  // (a|b)*abb has four derivative classes over {a,b}: once the first words
+  // have visited them, further words intern no new nodes.
+  Re R = re("(a|b)*abb");
+  EXPECT_TRUE(E.matches(R, std::string("abb")));
+  EXPECT_FALSE(E.matches(R, std::string("ab")));
+  size_t Nodes = M.numNodes();
+  EXPECT_TRUE(E.matches(R, std::string("aabb")));
+  EXPECT_TRUE(E.matches(R, std::string("babb")));
+  EXPECT_FALSE(E.matches(R, std::string("ababab")));
+  EXPECT_EQ(M.numNodes(), Nodes);
+#if SBD_OBS
+  // A new word over transitions already taken is served from the
+  // (re, char) memo alone.
+  uint64_t Misses = E.stats().MemoMisses;
+  EXPECT_TRUE(E.matches(R, std::string("ababb")));
+  EXPECT_EQ(E.stats().MemoMisses, Misses);
+#endif // SBD_OBS
+}
+
 TEST_F(DerivTest, MatcherRejectsValuesOutsideTheAlphabet) {
   // Revalidated witnesses may come from an untrusted cache.
   EXPECT_TRUE(E.matches(M.top(), std::vector<uint32_t>{'a', MaxCodePoint}));
@@ -286,5 +347,30 @@ TEST_P(Theorem43Test, MatcherAgreesWithDerivativeChain) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem43Test,
                          ::testing::Range<uint64_t>(1, 31));
+
+/// --- The (re, char) memo never changes a verdict ---------------------------
+
+class BrzMemoPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BrzMemoPropertyTest, WarmMemoAgreesWithColdMemo) {
+  // One engine matches every word of every regex, so its memo is shared
+  // across calls; a fresh engine on the same arenas starts each word cold.
+  RegexManager M;
+  TrManager T(M);
+  DerivativeEngine Warm(M, T);
+  Rng Rand(GetParam());
+  for (int I = 0; I != 6; ++I) {
+    Re R = randomRegex(M, Rand, 4);
+    for (int W = 0; W != 25; ++W) {
+      std::vector<uint32_t> Word = randomWord(Rand, 6);
+      DerivativeEngine Cold(M, T);
+      EXPECT_EQ(Warm.matches(R, Word), Cold.matches(R, Word))
+          << "memoized matching disagrees on " << M.toString(R);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BrzMemoPropertyTest,
+                         ::testing::Range<uint64_t>(1, 26));
 
 } // namespace

@@ -315,8 +315,7 @@ TEST(FuzzCampaign, JsonReportParsesAndCarriesTheContract) {
   std::set<std::string> Names;
   for (const JsonValue &T : Timings->asArray())
     Names.insert(T.get("name")->asString());
-  for (const char *Must : {"ref_matcher", "dfa_matcher", "tiny_dfa_matcher",
-                           "sbfa", "solver_bfs", "eager"})
+  for (const char *Must : {"ref_matcher", "sbfa", "solver_bfs", "eager"})
     EXPECT_TRUE(Names.count(Must)) << "engine never ran: " << Must;
   ASSERT_NE(V.get("obs"), nullptr);
   EXPECT_TRUE(V.get("obs")->isObject());

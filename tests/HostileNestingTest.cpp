@@ -6,7 +6,9 @@
 /// nesting depth (RegexMaxDepth, SExprMaxDepth) and report a parse error;
 /// these tests drive the real binaries so the error reaches the user as
 /// one, and `sbd-server` keeps serving. A wide flat union must parse in
-/// time linear in its width.
+/// time linear in its width, and a long literal or a wide `re.++` (a deep
+/// right-associated concatenation after parsing) must be solved, not
+/// overflow the printer behind the verdict-cache key.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,6 +114,40 @@ TEST(HostileNesting, ServerRepliesErrorToA100kDeepUnionAndKeepsServing) {
   EXPECT_EQ(Out, "(error \"parse error: nesting deeper than " +
                      std::to_string(SExprMaxDepth) + "\")\nsat\n");
   std::remove(Path.c_str());
+}
+
+/// Pipes \p Script through sbd-server and expects one `sat` reply, exit 0,
+/// within \p MaxSeconds.
+void expectServerSat(const std::string &Name, const std::string &Script,
+                     double MaxSeconds) {
+  std::string Path = writeInput(Name, Script);
+  int Exit = 0;
+  auto Start = std::chrono::steady_clock::now();
+  std::string Out = run(std::string(SBD_SERVER_PATH) + " < " + Path, Exit);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_EQ(Exit, 0) << Out.substr(0, 200);
+  EXPECT_EQ(Out, "sat\n");
+  EXPECT_LT(Seconds, MaxSeconds);
+  std::remove(Path.c_str());
+}
+
+TEST(HostileNesting, ServerSolvesA100kCharacterLiteral) {
+  expectServerSat("long_literal.smt2",
+                  "(declare-const s String)\n"
+                  "(assert (str.in_re s (str.to_re \"" +
+                      repeat("a", 100000) + "\")))\n(check-sat)\n",
+                  10.0);
+}
+
+TEST(HostileNesting, ServerSolvesA200kArgumentConcat) {
+  expectServerSat("wide_concat.smt2",
+                  "(declare-const s String)\n"
+                  "(assert (str.in_re s (re.++" +
+                      repeat(" (str.to_re \"a\")", 200000) +
+                      ")))\n(check-sat)\n",
+                  10.0);
 }
 
 TEST(HostileNesting, AnalyzeParses30kAlternativesUnderOneSecond) {
